@@ -173,11 +173,8 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
             // recombined tally — cold, then warm from the on-disk
             // store — must match the reference engine byte-for-byte
             // (docs/INCREMENTAL.md, oracle layer 8 for the corpus).
-            let dir = std::env::temp_dir().join(format!(
-                "casted-corpus-sections-{}-{name}-{scheme}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir =
+                crate::oracle::scratch_dir(&format!("casted-corpus-sections-{name}-{scheme}"));
             if let Ok(store) = casted_faults::SectionStore::open(&dir) {
                 for pass in ["cold", "warm"] {
                     let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
@@ -203,11 +200,8 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
             // end, cold then warm from the on-disk artifact store,
             // must be byte-identical to the monolithic `prepare`
             // above (docs/PIPELINE.md).
-            let dir = std::env::temp_dir().join(format!(
-                "casted-corpus-stages-{}-{name}-{scheme}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir =
+                crate::oracle::scratch_dir(&format!("casted-corpus-stages-{name}-{scheme}"));
             if let Ok(store) = casted_util::store::ArtifactStore::open(&dir) {
                 let reference = crate::oracle::staged_fingerprint(&prep);
                 let input = casted_passes::stages::module_content_key(m);

@@ -33,6 +33,21 @@ const ENGINE_SALT: u64 = 0xC8EC_4901_D0C7_0A7E;
 /// make a fresh campaign pair per ED scheme per case.
 const ENGINE_TRIALS: usize = 16;
 
+/// A process- and call-unique scratch directory path under the
+/// system tmp dir for an on-disk store layer. Cases run concurrently
+/// (the test harness runs tests on parallel threads, and two tests may
+/// check the same seed), so a name built from the pid and case seed
+/// alone would let one case delete a store another is still reading.
+pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Cycle watchdog for simulated runs (generated cases are tiny; a
 /// healthy run is a few thousand cycles).
 const SIM_MAX_CYCLES: u64 = 50_000_000;
@@ -415,12 +430,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         // rerun, which is still required to be exact, not a
         // divergence.
         let stage = format!("sections:{scheme}:iw2d2");
-        let dir = std::env::temp_dir().join(format!(
-            "casted-difftest-sections-{}-{:x}-{scheme}",
-            std::process::id(),
-            cfg.seed
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("casted-difftest-sections-{:x}-{scheme}", cfg.seed));
         match casted_faults::SectionStore::open(&dir) {
             Ok(store) => {
                 for pass in ["cold", "warm"] {
@@ -461,12 +471,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         let legacy = prepare(&m, scheme, &mc)
             .map_err(|e| Divergence::new(&stage, format!("monolithic prepare failed: {e}")))?;
         let reference = staged_fingerprint(&legacy);
-        let dir = std::env::temp_dir().join(format!(
-            "casted-difftest-stages-{}-{:x}-{scheme}",
-            std::process::id(),
-            cfg.seed
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("casted-difftest-stages-{:x}-{scheme}", cfg.seed));
         if let Ok(store) = ArtifactStore::open(&dir) {
             let input = module_content_key(&m);
             let opts = PrepareOptions::default();

@@ -291,6 +291,27 @@ pub fn classify(golden: &SimResult, faulty: &SimResult) -> Outcome {
     }
 }
 
+/// The outcome class a batch lane's verdict proves — exactly what
+/// [`classify`] would say about that trial's own full run — or `None`
+/// for a [`LaneVerdict::Diverged`] lane, which the batch proves nothing
+/// about and the campaign replays on the exact path.
+pub fn lane_outcome(v: LaneVerdict) -> Option<Outcome> {
+    Some(match v {
+        LaneVerdict::Halted {
+            matches_golden: true,
+        }
+        | LaneVerdict::Converged => Outcome::Benign,
+        LaneVerdict::Halted {
+            matches_golden: false,
+        } => Outcome::DataCorrupt,
+        LaneVerdict::Corrected => Outcome::Corrected,
+        LaneVerdict::Detected => Outcome::Detected,
+        LaneVerdict::Exception => Outcome::Exception,
+        LaneVerdict::Timeout => Outcome::Timeout,
+        LaneVerdict::Diverged => return None,
+    })
+}
+
 /// Run one injection trial from scratch. Trials stay out of the
 /// `sim.*` metrics ([`casted_sim::simulate_quiet`]): a campaign runs
 /// the same program hundreds of times and would drown the per-run
@@ -773,27 +794,13 @@ fn campaign_core(
                                     run_batch(sp, trace, ckpt, &injs, max_cycles);
                                 bstats.accumulate(bs);
                                 for (&trial, &v) in ids.iter().zip(&verdicts) {
-                                    let o = match v {
-                                        LaneVerdict::Halted {
-                                            matches_golden: true,
-                                        }
-                                        | LaneVerdict::Converged => Outcome::Benign,
-                                        LaneVerdict::Halted {
-                                            matches_golden: false,
-                                        } => Outcome::DataCorrupt,
-                                        LaneVerdict::Detected => Outcome::Detected,
-                                        LaneVerdict::Exception => Outcome::Exception,
-                                        LaneVerdict::Timeout => Outcome::Timeout,
-                                        // The batch proves nothing
-                                        // about a structurally
-                                        // diverged lane: replay that
-                                        // one trial on the exact path.
-                                        LaneVerdict::Diverged => replay_one(
-                                            injections[trial],
-                                            &mut skipped,
-                                            &mut pruned,
-                                        ),
-                                    };
+                                    // The batch proves nothing about a
+                                    // structurally diverged lane:
+                                    // replay that one trial on the
+                                    // exact path.
+                                    let o = lane_outcome(v).unwrap_or_else(|| {
+                                        replay_one(injections[trial], &mut skipped, &mut pruned)
+                                    });
                                     outcomes.push((trial, o));
                                 }
                             }
@@ -879,6 +886,7 @@ pub(crate) fn record_campaign_metrics(
             casted_obs::add("faults.batch.divergences", es.batch.divergences);
             casted_obs::add("faults.batch.skipped_insns", es.batch.skipped_insns);
             casted_obs::add("faults.batch.retired.converged", es.batch.retired_converged);
+            casted_obs::add("faults.batch.retired.corrected", es.batch.retired_corrected);
             casted_obs::add("faults.batch.retired.finished", es.batch.retired_finished);
             casted_obs::add("faults.batch.retired.detected", es.batch.retired_detected);
             casted_obs::add("faults.batch.retired.exception", es.batch.retired_exception);

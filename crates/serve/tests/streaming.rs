@@ -247,9 +247,30 @@ fn quota_exhaustion_yields_throttled_with_retry_hint() {
     }
 }
 
+/// Read `serve.admission.expired` from a `Counters` reply (0 if absent).
+fn expired_count(client: &mut Client) -> u64 {
+    match client.request(&Request::Counters).unwrap() {
+        Response::Counters(json) => json
+            .split("\"serve.admission.expired\": ")
+            .nth(1)
+            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0),
+        other => panic!("unexpected counters reply {other:?}"),
+    }
+}
+
 #[test]
 fn queue_deadline_drops_stale_jobs_before_execution() {
     casted_obs::set_enabled(true);
+    // The deadline is far above an idle worker's wake-up latency, so the
+    // occupying stream A always starts. The stale job B waits until the
+    // test cancels A, which it does only after waiting out several
+    // deadlines, so B is always stale when the worker pops it.
+    const DEADLINE_MS: u64 = 250;
+    // Far more trials than the worker can run while the test waits: A
+    // ends only when cancelled.
+    const A_TRIALS: u64 = 200_000;
     for model in MODELS {
         let server = Server::start(ServerConfig {
             conn_model: model,
@@ -257,8 +278,9 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
             admission: AdmissionConfig {
                 quota_burst: 0,
                 quota_refill_per_sec: 0,
-                queue_deadline_ms: 1,
+                queue_deadline_ms: DEADLINE_MS,
             },
+            max_trials: A_TRIALS,
             ..ServerConfig::default()
         })
         .expect("bind loopback");
@@ -266,7 +288,8 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
 
         // Occupy the only worker with a streaming campaign...
         let mut a = Client::connect(addr).unwrap();
-        a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
+        a.send_raw(&encode_request(&stream_req(A_TRIALS, 1_000)))
+            .unwrap();
         let first = a.read_reply().unwrap().expect("stream start");
         assert!(matches!(
             decode_response(&first).unwrap(),
@@ -279,6 +302,7 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
             ConnModel::Threads => 8,
         };
         let mut b = Client::connect(addr).unwrap();
+        let expired_before = expired_count(&mut b);
         b.send_raw(&encode_request(&Request::Simulate {
             spec: JobSpec {
                 source: format!("fn main() {{ out({tag}); }}"),
@@ -290,13 +314,21 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
         }))
         .unwrap();
 
-        // Drain A to its terminal so the worker reaches B's job.
-        loop {
+        // Let B go stale behind A, then cancel A so the worker reaches
+        // B's job.
+        std::thread::sleep(Duration::from_millis(4 * DEADLINE_MS));
+        a.send_raw(&encode_request(&Request::Cancel)).unwrap();
+        let terminal = loop {
             let frame = a.read_reply().unwrap().expect("mid-stream EOF");
-            if decode_response(&frame).unwrap().terminal() {
-                break;
+            let resp = decode_response(&frame).unwrap();
+            if resp.terminal() {
+                break resp;
             }
-        }
+        };
+        assert!(
+            matches!(terminal, Response::Cancelled { .. }),
+            "{model:?}: the occupying stream must end cancelled, got {terminal:?}"
+        );
         let reply = decode_response(&b.read_reply().unwrap().unwrap()).unwrap();
         assert!(
             matches!(reply, Response::Expired),
@@ -304,17 +336,8 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
         );
 
         // The drop is observable.
-        let expired = match a.request(&Request::Counters).unwrap() {
-            Response::Counters(json) => json
-                .split("\"serve.admission.expired\": ")
-                .nth(1)
-                .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(0),
-            other => panic!("{model:?}: unexpected counters reply {other:?}"),
-        };
         assert!(
-            expired >= 1,
+            expired_count(&mut b) > expired_before,
             "{model:?}: serve.admission.expired must count the drop"
         );
         server.shutdown();

@@ -56,10 +56,22 @@
 //! * a detection check fires (`br.detect` / `chk.ne`) → retire as
 //!   [`LaneVerdict::Detected`] at end of bundle, exactly where
 //!   `run_machine` stops a detected run.
+//! * a majority `vote` (TMRED) reads a differing copy → the lane does
+//!   **not** retire: it votes natively, with `run_machine`'s exact
+//!   correction rule (copies not all bit-equal), marks itself
+//!   *corrected*, and writes the majority back through the overlay. An
+//!   out-voted strike thus leaves the def equal to the leader's, clears
+//!   its diff bit, and the lane goes on to converge. A corrected lane
+//!   that finishes with golden output (converged, or halted
+//!   bit-matching) retires [`LaneVerdict::Corrected`]. Golden runs
+//!   never vote a correction, so lanes whose vote operands equal the
+//!   leader's never need to count one. Under RBED a voted value that
+//!   differs from the leader's still retires `Diverged`.
 //! * the lane's value state re-equals the leader's (no differing
 //!   register, no differing memory word, no emitted divergence, equal
 //!   pending halt) → the remainder of the run is provably identical to
-//!   golden: retire as [`LaneVerdict::Converged`] (Benign). This is
+//!   golden: retire as [`LaneVerdict::Converged`] (Benign, or
+//!   `Corrected` after a vote correction). This is
 //!   the batch engine's O(1) analogue of the checkpoint engine's
 //!   fingerprint pruning — maintained incrementally at writeback, no
 //!   hashing at all.
@@ -72,13 +84,17 @@
 //! ## Why tallies stay byte-identical
 //!
 //! Classification (`casted_faults::classify`) looks only at the stop
-//! reason, the exit code and bit-equality of the output stream. For a
+//! reason, the exit code, bit-equality of the output stream and
+//! whether any vote corrected. For a
 //! lane that stays structurally convergent, the lockstep execution
 //! computes the *exact* values its full run would compute (same
 //! operands read under the same VLIW two-phase read rule, same
 //! writeback order, same memory), so Halted/Detected/Exception/Timeout
 //! verdicts map to exactly the class a from-scratch simulation
-//! produces, and Converged lanes are provably Benign. A lane that
+//! produces, and Converged lanes are provably Benign. Every vote whose
+//! operands differ from the leader's is evaluated in the lane, so the
+//! lane's corrected flag is exactly "its run counted a correction",
+//! and Corrected lanes are provably Corrected. A lane that
 //! diverges structurally is never classified here — it is handed back
 //! whole to `replay_trial`, which is property-tested bit-identical to
 //! a from-scratch run. `prop_batch.rs` pins the whole equivalence,
@@ -92,14 +108,17 @@ use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{CmpKind, Opcode, Operand, Reg, RegClass};
 
 use crate::checkpoint::GoldenTrace;
-use crate::machine::{Injection, MachineState};
+use crate::machine::{vote_corrects, Injection, MachineState};
 
 /// Default number of lanes stepped together by the batched campaign
-/// engine. Virtual and skipped lanes are free, so wider batches are
-/// almost strictly better — each extra lane amortizes the leader's
-/// structural pass further; the `bench_faults` lane sweep is monotone
-/// through this point. The cap exists to bound per-batch memory and
-/// to leave a multi-core campaign pool more than one chunk to run.
+/// engine. Virtual and skipped lanes are free, so wider batches
+/// amortize the leader's structural pass further — but a campaign runs
+/// its batches on the `casted_util` pool, so a width near the trial
+/// count leaves pool workers idle. The `bench_faults` lane sweep (300
+/// trials per campaign) is not monotone: on a 2-vCPU host it peaks at
+/// 64 lanes and falls at 150 and 300 (see docs/PERFORMANCE.md). The
+/// cap exists to bound per-batch memory and to leave a multi-core
+/// campaign pool more than one chunk to run.
 pub const DEFAULT_LANE_WIDTH: usize = 256;
 
 /// How one lane left the batch.
@@ -118,6 +137,11 @@ pub enum LaneVerdict {
     /// injection: the remainder of the run is provably the golden
     /// remainder, the trial is Benign.
     Converged,
+    /// The lane finished with the golden output — it converged, or
+    /// halted with exit code and output stream bit-matching golden —
+    /// after at least one majority vote out-voted a differing copy: the
+    /// scheme repaired the strike, the trial is Corrected.
+    Corrected,
     /// A detection check fired in this lane (`br.detect` / `chk.ne`).
     Detected,
     /// A pure op faulted in this lane (e.g. divide by zero) at a point
@@ -147,6 +171,8 @@ pub struct BatchStats {
     pub divergences: u64,
     /// Lanes retired as [`LaneVerdict::Converged`].
     pub retired_converged: u64,
+    /// Lanes retired as [`LaneVerdict::Corrected`].
+    pub retired_corrected: u64,
     /// Lanes retired as [`LaneVerdict::Halted`].
     pub retired_finished: u64,
     /// Lanes retired as [`LaneVerdict::Detected`].
@@ -169,6 +195,7 @@ impl BatchStats {
         self.lane_insn_steps += other.lane_insn_steps;
         self.divergences += other.divergences;
         self.retired_converged += other.retired_converged;
+        self.retired_corrected += other.retired_corrected;
         self.retired_finished += other.retired_finished;
         self.retired_detected += other.retired_detected;
         self.retired_exception += other.retired_exception;
@@ -180,6 +207,7 @@ impl BatchStats {
         match v {
             LaneVerdict::Halted { .. } => self.retired_finished += 1,
             LaneVerdict::Converged => self.retired_converged += 1,
+            LaneVerdict::Corrected => self.retired_corrected += 1,
             LaneVerdict::Detected => self.retired_detected += 1,
             LaneVerdict::Exception => self.retired_exception += 1,
             LaneVerdict::Timeout => self.retired_timeout += 1,
@@ -361,6 +389,9 @@ pub struct BatchState<'a> {
     total_regs: u32,
     stream_differs: Vec<bool>,
     detect: Vec<bool>,
+    /// A vote in this lane out-voted a differing copy (`run_machine`
+    /// would have counted a correction).
+    corrected: Vec<bool>,
     halt: Vec<Option<i64>>,
     verdicts: Vec<Option<LaneVerdict>>,
     /// Next virtual lane (lanes materialize in ascending-site order).
@@ -431,6 +462,7 @@ impl<'a> BatchState<'a> {
             total_regs: gp + fp + pr,
             stream_differs: vec![false; n],
             detect: vec![false; n],
+            corrected: vec![false; n],
             halt: vec![None; n],
             verdicts: vec![None; n],
             cursor: 0,
@@ -1005,17 +1037,6 @@ impl<'a> BatchState<'a> {
                             }
                             Opcode::Halt => self.halt[lane] = Some(vals[0].as_i()),
                             Opcode::Nop => {}
-                            Opcode::Vote => {
-                                // A vote over a differing operand
-                                // corrects (or fails to correct) in a
-                                // way the verdict vocabulary cannot
-                                // carry: the classifier needs the
-                                // run's correction count to tell
-                                // Corrected from Benign. Prove
-                                // nothing; replay this trial exactly.
-                                self.retire(lane, LaneVerdict::Diverged);
-                                continue;
-                            }
                             op => match eval_pure(op, vals) {
                                 Ok(v) => {
                                     let (d, lv, _lat) =
@@ -1023,6 +1044,13 @@ impl<'a> BatchState<'a> {
                                     if self.rbed && !val_bits_eq(v, lv) {
                                         self.retire(lane, LaneVerdict::Diverged);
                                         continue;
+                                    }
+                                    // A vote over a differing copy is a
+                                    // correction; an out-voted strike
+                                    // writes back the leader's value and
+                                    // clears the def's diff bit below.
+                                    if op == Opcode::Vote && vote_corrects(vals) {
+                                        self.corrected[lane] = true;
                                     }
                                     self.set_lane_def(lane, d, v, lv);
                                 }
@@ -1117,8 +1145,14 @@ impl<'a> BatchState<'a> {
                     {
                         // The fault was masked: every observable bit of
                         // lane state equals the leader, so the
-                        // remainder replays the golden remainder.
-                        self.retire(lane, LaneVerdict::Converged);
+                        // remainder replays the golden remainder
+                        // (which votes no correction).
+                        let v = if self.corrected[lane] {
+                            LaneVerdict::Corrected
+                        } else {
+                            LaneVerdict::Converged
+                        };
+                        self.retire(lane, v);
                     }
                 }
 
@@ -1139,7 +1173,12 @@ impl<'a> BatchState<'a> {
                         LaneStatus::Live => {
                             let matches = self.halt[lane] == Some(code)
                                 && !self.stream_differs[lane];
-                            self.retire(lane, LaneVerdict::Halted { matches_golden: matches });
+                            let v = if matches && self.corrected[lane] {
+                                LaneVerdict::Corrected
+                            } else {
+                                LaneVerdict::Halted { matches_golden: matches }
+                            };
+                            self.retire(lane, v);
                         }
                     }
                 }
@@ -1284,7 +1323,8 @@ mod tests {
     }
 
     /// Classify a from-scratch faulty run the way `casted_faults`
-    /// does, reduced to what a batch verdict can be compared against.
+    /// does, reduced to what a batch verdict can be compared against:
+    /// golden output after a vote correction is "corrected".
     fn scratch_class(
         sp: &ScheduledProgram,
         golden: &crate::machine::SimResult,
@@ -1307,10 +1347,10 @@ mod tests {
                 let same = golden.stop == StopReason::Halt(code)
                     && golden.stream.len() == r.stream.len()
                     && golden.stream.iter().zip(&r.stream).all(|(a, b)| a.bit_eq(b));
-                if same {
-                    "benign"
-                } else {
-                    "corrupt"
+                match (same, r.stats.corrections > 0) {
+                    (true, false) => "benign",
+                    (true, true) => "corrected",
+                    (false, _) => "corrupt",
                 }
             }
         }
@@ -1320,6 +1360,7 @@ mod tests {
         match v {
             LaneVerdict::Halted { matches_golden: true } | LaneVerdict::Converged => "benign",
             LaneVerdict::Halted { matches_golden: false } => "corrupt",
+            LaneVerdict::Corrected => "corrected",
             LaneVerdict::Detected => "detected",
             LaneVerdict::Exception => "exception",
             LaneVerdict::Timeout => "timeout",
@@ -1439,6 +1480,67 @@ mod tests {
                 class,
                 scratch_class(&sp, &trace.result, inj, trace.result.stats.cycles * 10)
             );
+        }
+    }
+
+    /// Three copies of one value, a majority `vote` over them and an
+    /// `out` of the voted value — TMRED's shape, hand-built. With
+    /// `scrub`, the copies are overwritten after the vote, so a lane
+    /// whose strike was out-voted re-converges before the halt.
+    /// Returns the module and the dynamic index of each copy's def and
+    /// of the vote.
+    fn voting_module(scrub: bool) -> (Module, [u64; 3], u64) {
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main");
+        let a = b.imm(21); // dyn 1
+        let copies: Vec<Reg> = (0..3)
+            .map(|_| b.binop(Opcode::Add, Operand::Reg(a), Operand::Imm(1))) // dyn 2..=4
+            .collect();
+        let v = b.new_reg(RegClass::Gp);
+        b.push(Opcode::Vote, vec![v], copies.iter().map(|&c| Operand::Reg(c)).collect()); // dyn 5
+        if scrub {
+            for &c in &copies {
+                b.push(Opcode::MovI, vec![c], vec![Operand::Imm(0)]);
+            }
+        }
+        b.out(Operand::Reg(v));
+        b.halt_imm(0);
+        let id = m.add_function(b.finish());
+        m.entry = Some(id);
+        (m, [2, 3, 4], 5)
+    }
+
+    #[test]
+    fn vote_corrects_single_copy_strikes_in_the_batch() {
+        for scrub in [false, true] {
+            let (m, copy_sites, vote_site) = voting_module(scrub);
+            let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+            let trace = golden_with_checkpoints(&sp);
+            assert_eq!(trace.result.stats.corrections, 0, "golden run voted a correction");
+            let max_cycles = trace.result.stats.cycles * 10;
+            let mut injections: Vec<Injection> =
+                copy_sites.iter().map(|&at| Injection::single(at, 3, None)).collect();
+            injections.push(Injection::single(vote_site, 3, None));
+            let (verdicts, stats) = run_batch_auto(&sp, &trace, &injections, max_cycles);
+
+            // A strike on one copy is out-voted in place: no lane is
+            // handed back for replay.
+            for v in &verdicts[..3] {
+                assert_eq!(*v, LaneVerdict::Corrected, "scrub={scrub}");
+            }
+            // A strike on the vote's own result escapes the majority.
+            assert_eq!(verdicts[3], LaneVerdict::Halted { matches_golden: false });
+            assert_eq!(stats.divergences, 0, "scrub={scrub}: {stats:?}");
+            assert_eq!(stats.retired_corrected, 3, "scrub={scrub}: {stats:?}");
+            assert_eq!(stats.retired_converged, 0, "scrub={scrub}: {stats:?}");
+            for (v, &inj) in verdicts.iter().zip(&injections) {
+                assert_eq!(
+                    verdict_class(*v),
+                    scratch_class(&sp, &trace.result, inj, max_cycles),
+                    "scrub={scrub}: lane at={} verdict {v:?} disagrees with scratch run",
+                    inj.at_dyn_insn
+                );
+            }
         }
     }
 }

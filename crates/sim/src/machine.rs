@@ -534,21 +534,7 @@ pub(crate) fn run_machine(
                     Opcode::Nop => {}
                     Opcode::Vote => match eval_pure(insn.op, vals) {
                         Ok(v) => {
-                            // The copies disagree iff the vote masked a
-                            // corrupted lane — count the correction so
-                            // fault classification can distinguish
-                            // Corrected from Benign.
-                            let eq01 = casted_ir::semantics::eval_cmp_vals(
-                                casted_ir::CmpKind::Eq,
-                                vals[0],
-                                vals[1],
-                            );
-                            let eq02 = casted_ir::semantics::eval_cmp_vals(
-                                casted_ir::CmpKind::Eq,
-                                vals[0],
-                                vals[2],
-                            );
-                            if !(eq01 && eq02) {
+                            if vote_corrects(vals) {
                                 st.stats.corrections += 1;
                             }
                             retired_val = Some(v);
@@ -639,6 +625,20 @@ pub(crate) fn run_machine(
             ),
         }
     }
+}
+
+/// Whether a majority vote over `copies` (the three operands of an
+/// `Opcode::Vote`) counts as a correction: the copies disagree iff the
+/// vote masked a corrupted lane, so fault classification can tell
+/// Corrected from Benign. Floats compare as bit patterns
+/// (`eval_cmp_vals` `Eq`). Shared by `run_machine` and the batched
+/// engine so both count exactly the same votes.
+#[inline]
+pub(crate) fn vote_corrects(copies: &[Val]) -> bool {
+    use casted_ir::semantics::eval_cmp_vals;
+    use casted_ir::CmpKind;
+    !(eval_cmp_vals(CmpKind::Eq, copies[0], copies[1])
+        && eval_cmp_vals(CmpKind::Eq, copies[0], copies[2]))
 }
 
 /// Run `sp` to completion (or exception/detection/timeout).

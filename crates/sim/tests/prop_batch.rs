@@ -93,7 +93,9 @@ fn boundary_sites(trace: &GoldenTrace, dyn_insns: u64) -> Vec<u64> {
 
 /// Classify one injection through the independent per-trial path the
 /// campaign trusts (`replay_trial`, itself property-tested against
-/// from-scratch simulation in `prop_checkpoint.rs`).
+/// from-scratch simulation in `prop_checkpoint.rs`). Golden output
+/// after a vote correction is "corrected", as `casted_faults::classify`
+/// has it.
 fn replay_class(
     sp: &ScheduledProgram,
     trace: &GoldenTrace,
@@ -110,10 +112,10 @@ fn replay_class(
                 let same = g.stop == StopReason::Halt(code)
                     && g.stream.len() == r.stream.len()
                     && g.stream.iter().zip(&r.stream).all(|(a, b)| a.bit_eq(b));
-                if same {
-                    "benign"
-                } else {
-                    "corrupt"
+                match (same, r.stats.corrections > 0) {
+                    (true, false) => "benign",
+                    (true, true) => "corrected",
+                    (false, _) => "corrupt",
                 }
             }
         },
@@ -130,6 +132,7 @@ fn verdict_class(v: LaneVerdict) -> Option<&'static str> {
         LaneVerdict::Halted {
             matches_golden: false,
         } => Some("corrupt"),
+        LaneVerdict::Corrected => Some("corrected"),
         LaneVerdict::Detected => Some("detected"),
         LaneVerdict::Exception => Some("exception"),
         LaneVerdict::Timeout => Some("timeout"),

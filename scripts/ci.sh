@@ -66,6 +66,15 @@ for engine in checkpointed batched; do
   cmp "$log_dir/eng_reference/fig9.csv" "$log_dir/eng_$engine/fig9.csv"
   cmp "$log_dir/eng_reference/common.json" "$log_dir/eng_$engine/common.json"
 done
+# The batched engine must settle TMRED's vote corrections inside the
+# batch (native majority voting, docs/PERFORMANCE.md) rather than
+# retiring those lanes to per-trial replay.
+batch_corrected="$(sed -n 's/.*"faults\.batch\.retired\.corrected": \([0-9]*\).*/\1/p' \
+  "$log_dir/eng_batched/counters.json")"
+if [ -z "$batch_corrected" ] || [ "$batch_corrected" -lt 1 ]; then
+  echo "batched engine settled no vote correction in-batch (got '${batch_corrected:-none}')" >&2
+  exit 1
+fi
 # The quick grid must actually cover the recovery schemes and the
 # 4-cluster machine (docs/SCHEMES.md): TMRED rows must report
 # corrections (last CSV column nonzero somewhere), RBED rows must
