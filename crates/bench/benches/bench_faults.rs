@@ -1,5 +1,5 @@
-//! Campaign throughput: the checkpointed and batched fault-injection
-//! engines against the reference engine, measured in **trials/sec**
+//! Campaign throughput: the batched fault-injection engine against
+//! the reference engine, measured in **trials/sec**
 //! over the quick coverage grid (three representative benchmarks ×
 //! all six schemes at issue 2, delay 2 — the same cells `fig9
 //! --quick` runs). A per-scheme breakdown (batched engine) records
@@ -7,14 +7,14 @@
 //! trials retire ~3x the instructions, RBED trials add the digest
 //! side computation.
 //!
-//! All engines consume the identical frozen injection stream and, as
+//! Both engines consume the identical frozen injection stream and, as
 //! a precondition of the measurement, are cross-checked here to
 //! produce byte-identical tallies. The batched engine is additionally
 //! swept over lane widths (8–300 lanes per batch) to expose how the
 //! structure-of-arrays stepping scales with batch width. Results are printed in the
 //! in-repo runner's format and written to `BENCH_faults.json` at the
-//! workspace root (median/MAD over the timed samples, plus each
-//! engine's speedup over reference) so the perf trajectory has a
+//! workspace root (median/MAD over the timed samples, plus the
+//! batched engine's speedup over reference) so the perf trajectory has a
 //! recorded datapoint; see `docs/PERFORMANCE.md` for the field
 //! reference. Samples are interleaved round-robin across all engines
 //! and widths so slow host drift cannot bias one row's median.
@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use casted_faults::{
-    run_campaign_engine, run_campaign_engine_lanes, run_campaign_incremental, CampaignConfig,
-    Engine, SectionStore, DEFAULT_LANE_WIDTH,
+    run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, SectionStore,
+    DEFAULT_LANE_WIDTH,
 };
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::MachineConfig;
@@ -84,16 +84,16 @@ fn cell_campaign(base: &CampaignConfig, cell: &Cell) -> CampaignConfig {
     }
 }
 
-/// Time one full pass over the grid with `engine`; returns trials/sec.
+/// Time one full pass over the grid with `engine` at batch width
+/// `lanes`; returns trials/sec.
 fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine, lanes: usize) -> f64 {
     let t0 = Instant::now();
     for cell in cells {
-        casted_util::bench::black_box(run_campaign_engine_lanes(
-            &cell.sp,
-            &cell_campaign(campaign, cell),
-            engine,
+        let cfg = CampaignConfig {
             lanes,
-        ));
+            ..cell_campaign(campaign, cell)
+        };
+        casted_util::bench::black_box(run_campaign_engine(&cell.sp, &cfg, engine));
     }
     let secs = t0.elapsed().as_secs_f64();
     (cells.len() * campaign.trials) as f64 / secs
@@ -141,34 +141,22 @@ fn main() {
     for cell in &cells {
         let ccfg = cell_campaign(&campaign, cell);
         let r = run_campaign_engine(&cell.sp, &ccfg, Engine::Reference);
-        for engine in [Engine::Checkpointed, Engine::Batched] {
-            let other = run_campaign_engine(&cell.sp, &ccfg, engine);
-            assert_eq!(
-                r.tally,
-                other.tally,
-                "{}: {} disagrees with reference",
-                cell.label,
-                engine.name()
-            );
-        }
+        let batched = run_campaign_engine(&cell.sp, &ccfg, Engine::Batched);
+        assert_eq!(r.tally, batched.tally, "{}: batched disagrees with reference", cell.label);
     }
 
     let mut configs: Vec<(Engine, usize)> = vec![
-        (Engine::Reference, 0),
-        (Engine::Checkpointed, 0),
+        (Engine::Reference, DEFAULT_LANE_WIDTH),
         (Engine::Batched, DEFAULT_LANE_WIDTH),
     ];
     configs.extend(LANE_SWEEP.iter().map(|&w| (Engine::Batched, w)));
     let measured = measure_all(&cells, &campaign, &configs, samples);
 
     let (ref_med, ref_mad) = measured[0];
-    let (ckpt_med, ckpt_mad) = measured[1];
-    let (batch_med, batch_mad) = measured[2];
-    let ckpt_speedup = ckpt_med / ref_med;
+    let (batch_med, batch_mad) = measured[1];
     let batch_speedup = batch_med / ref_med;
 
     print_row("faults_campaign/reference", ref_med, ref_mad, samples);
-    print_row("faults_campaign/checkpointed", ckpt_med, ckpt_mad, samples);
     print_row(
         &format!("faults_campaign/batched(w={DEFAULT_LANE_WIDTH})"),
         batch_med,
@@ -177,12 +165,11 @@ fn main() {
     );
 
     let mut sweep = Vec::new();
-    for (&w, &(med, mad)) in LANE_SWEEP.iter().zip(&measured[3..]) {
+    for (&w, &(med, mad)) in LANE_SWEEP.iter().zip(&measured[2..]) {
         print_row(&format!("faults_campaign/batched/lanes={w}"), med, mad, samples);
         sweep.push((w, med, mad));
     }
 
-    println!("checkpointed/reference speedup: {ckpt_speedup:.2}x (median trials/sec)");
     println!("batched/reference speedup: {batch_speedup:.2}x (median trials/sec)");
 
     // Per-scheme breakdown on the batched engine: same trials, same
@@ -198,11 +185,10 @@ fn main() {
                     cells.iter().filter(|c| c.scheme == scheme).collect();
                 let t0 = Instant::now();
                 for cell in &subset {
-                    casted_util::bench::black_box(run_campaign_engine_lanes(
+                    casted_util::bench::black_box(run_campaign_engine(
                         &cell.sp,
                         &cell_campaign(&campaign, cell),
                         Engine::Batched,
-                        DEFAULT_LANE_WIDTH,
                     ));
                 }
                 rates[i].push(
@@ -289,10 +275,6 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"checkpointed\": {{\"median\": {ckpt_med:.1}, \"mad\": {ckpt_mad:.1}}},"
-    );
-    let _ = writeln!(
-        json,
         "    \"batched\": {{\"median\": {batch_med:.1}, \"mad\": {batch_mad:.1}}}"
     );
     let _ = writeln!(json, "  }},");
@@ -326,7 +308,6 @@ fn main() {
     );
     let _ = writeln!(json, "    \"speedup_incremental_warm\": {inc_speedup:.2}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"speedup_median\": {ckpt_speedup:.2},");
     let _ = writeln!(json, "  \"speedup_batched_median\": {batch_speedup:.2}");
     let _ = writeln!(json, "}}");
 

@@ -49,6 +49,7 @@ fn bench_fault_trial(c: &mut Bench) {
                 &golden,
                 casted_sim::Injection::single(golden.stats.dyn_insns / 2, 17, None),
                 golden.stats.cycles * 10,
+                None,
             )
         })
     });

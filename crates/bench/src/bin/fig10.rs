@@ -28,7 +28,7 @@ fn main() {
         spec.issues.len() * spec.delays.len(),
         campaign.trials
     );
-    let points = coverage_sweep_with(&[w], &spec, &campaign, opts.engine);
+    let points = coverage_sweep_with(&[w], &spec, &campaign, opts.engine, None);
     println!("{}", report::coverage_panel(&points));
     casted_bench::maybe_write(&opts, "fig10.csv", &report::coverage_csv(&points));
 

@@ -7,7 +7,7 @@
 //! sweeps the 4-cluster machine grid next to the paper's 2-cluster
 //! one.
 
-use casted::experiments::{coverage_sweep_incremental, coverage_sweep_with, GridSpec};
+use casted::experiments::{coverage_sweep_with, GridSpec};
 use casted::report;
 use casted_faults::CampaignConfig;
 
@@ -35,11 +35,12 @@ fn main() {
             opts.engine.name()
         }
     );
-    let points = if opts.incremental {
-        coverage_sweep_incremental(&benchmarks, &spec, &campaign, &opts.section_cache)
-    } else {
-        coverage_sweep_with(&benchmarks, &spec, &campaign, opts.engine)
-    };
+    let store = opts.incremental.then(|| {
+        casted_faults::SectionStore::open(&opts.section_cache).unwrap_or_else(|e| {
+            panic!("cannot open section cache {}: {e}", opts.section_cache.display())
+        })
+    });
+    let points = coverage_sweep_with(&benchmarks, &spec, &campaign, opts.engine, store.as_ref());
     println!("{}", report::coverage_panel(&points));
     casted_bench::maybe_write(&opts, "fig9.csv", &report::coverage_csv(&points));
 

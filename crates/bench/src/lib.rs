@@ -38,8 +38,8 @@ pub struct RunOpts {
     /// Write the deterministic counter-only metrics snapshot here
     /// (byte-reproducible for seeded runs; what CI `cmp`s).
     pub metrics_counters: Option<PathBuf>,
-    /// Fault-campaign engine (`--engine reference|checkpointed|batched`).
-    /// All produce byte-identical tallies; CI cross-checks them.
+    /// Fault-campaign engine (`--engine reference|batched`).
+    /// Both produce byte-identical tallies; CI cross-checks them.
     pub engine: casted_faults::Engine,
     /// Run fault campaigns through the compositional section cache
     /// (`--incremental`); tallies stay byte-identical to the engines.
@@ -105,12 +105,8 @@ pub fn parse_args() -> RunOpts {
                 let name = args
                     .next()
                     .unwrap_or_else(|| panic!("--engine needs {}", casted_faults::Engine::ACCEPTED));
-                opts.engine = casted_faults::Engine::parse(&name).unwrap_or_else(|| {
-                    panic!(
-                        "unknown engine {name:?} (accepted values: {})",
-                        casted_faults::Engine::ACCEPTED
-                    )
-                });
+                opts.engine =
+                    casted_faults::Engine::parse(&name).unwrap_or_else(|e| panic!("{e}"));
             }
             "--incremental" => opts.incremental = true,
             "--section-cache" => {

@@ -303,6 +303,7 @@ fn main() -> ExitCode {
                 timeout_factor: 10,
                 flip: args.flip,
                 replay_detect: args.scheme.replay_detect(),
+                ..Default::default()
             };
             let r = if args.incremental {
                 let store = match casted_faults::SectionStore::open(std::path::Path::new(

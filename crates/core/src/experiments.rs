@@ -410,25 +410,33 @@ pub struct CoveragePoint {
     pub tally: Tally,
 }
 
-/// Run fault-injection campaigns over a grid (Figs. 9 and 10) with
-/// the default (checkpointed) engine.
+/// Run fault-injection campaigns over a grid (Figs. 9 and 10) on the
+/// default (batched) engine.
 pub fn coverage_sweep(
     benchmarks: &[Workload],
     spec: &GridSpec,
     campaign: &CampaignConfig,
 ) -> Vec<CoveragePoint> {
-    coverage_sweep_with(benchmarks, spec, campaign, Engine::default())
+    coverage_sweep_with(benchmarks, spec, campaign, Engine::default(), None)
 }
 
-/// [`coverage_sweep`] with an explicit campaign engine. Both engines
-/// produce byte-identical tallies (the difftest oracles enforce it);
-/// the knob exists for the CI cross-check and for benchmarking the
-/// reference path.
+/// [`coverage_sweep`] with an explicit campaign engine, or — given a
+/// section `store` — through the compositional section cache
+/// ([`casted_faults::run_campaign_incremental`]): every cell then keys
+/// its sections into the shared store, so a rerun of an unchanged grid
+/// recombines from cache and an edited benchmark re-injects only the
+/// sections it touched.
+///
+/// Every path produces byte-identical tallies (the difftest oracles
+/// enforce it, and `scripts/ci.sh` byte-compares the fig9 CSVs of both
+/// engines and of cold and warm incremental runs); the knobs exist for
+/// that cross-check and for benchmarking the reference path.
 pub fn coverage_sweep_with(
     benchmarks: &[Workload],
     spec: &GridSpec,
     campaign: &CampaignConfig,
     engine: Engine,
+    store: Option<&casted_faults::SectionStore>,
 ) -> Vec<CoveragePoint> {
     let modules: Vec<(String, casted_ir::Module)> = benchmarks
         .iter()
@@ -455,71 +463,12 @@ pub fn coverage_sweep_with(
                             config.clusters = clusters;
                             let prep = casted_passes::prepare(module, scheme, &config)
                                 .expect("prepare failed");
-                            let r = casted_faults::run_campaign_engine(&prep.sp, &campaign, engine);
-                            CoveragePoint {
-                                benchmark: name.clone(),
-                                scheme,
-                                issue,
-                                delay,
-                                clusters,
-                                tally: r.tally,
-                            }
-                        }));
-                    }
-                }
-            }
-        }
-    }
-    let n_tasks = tasks.len();
-    let points = run_pool(tasks);
-    casted_obs::add("core.coverage_sweep.cells", n_tasks as u64);
-    meter.finish(
-        n_tasks,
-        "core.coverage_sweep.wall_ns",
-        "core.coverage_sweep.pool_utilization_permille",
-    );
-    points
-}
-
-/// [`coverage_sweep`] through the compositional section cache
-/// ([`casted_faults::run_campaign_incremental`]): every cell keys its
-/// sections into the shared on-disk store at `store_dir`, so a rerun
-/// of an unchanged grid recombines from cache and an edited benchmark
-/// re-injects only the sections it touched. Tallies are byte-identical
-/// to [`coverage_sweep_with`] on any engine — the fig9 incremental
-/// smoke in `scripts/ci.sh` byte-compares the CSVs.
-pub fn coverage_sweep_incremental(
-    benchmarks: &[Workload],
-    spec: &GridSpec,
-    campaign: &CampaignConfig,
-    store_dir: &std::path::Path,
-) -> Vec<CoveragePoint> {
-    let store = casted_faults::SectionStore::open(store_dir)
-        .unwrap_or_else(|e| panic!("cannot open section cache {}: {e}", store_dir.display()));
-    let modules: Vec<(String, casted_ir::Module)> = benchmarks
-        .iter()
-        .map(|w| (w.name.to_string(), w.compile().expect("compile failed")))
-        .collect();
-
-    let meter = SweepMeter::start("core.coverage_sweep.cell_ns");
-    let mut tasks = Vec::new();
-    for (name, module) in &modules {
-        for &scheme in &spec.schemes {
-            for &issue in &spec.issues {
-                for &delay in &spec.delays {
-                    for &clusters in &spec.clusters {
-                        let campaign = CampaignConfig {
-                            replay_detect: scheme.replay_detect(),
-                            ..campaign.clone()
-                        };
-                        let meter = &meter;
-                        let store = &store;
-                        tasks.push(move || meter.observe_cell(|| {
-                            let mut config = MachineConfig::itanium2_like(issue, delay);
-                            config.clusters = clusters;
-                            let prep = casted_passes::prepare(module, scheme, &config)
-                                .expect("prepare failed");
-                            let r = casted_faults::run_campaign_incremental(&prep.sp, &campaign, store);
+                            let r = match store {
+                                Some(store) => {
+                                    casted_faults::run_campaign_incremental(&prep.sp, &campaign, store)
+                                }
+                                None => casted_faults::run_campaign_engine(&prep.sp, &campaign, engine),
+                            };
                             CoveragePoint {
                                 benchmark: name.clone(),
                                 scheme,
@@ -773,13 +722,11 @@ mod tests {
             trials: 30,
             ..Default::default()
         };
-        let a = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, Engine::Reference);
-        for engine in [Engine::Checkpointed, Engine::Batched] {
-            let b = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, engine);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.tally, y.tally, "{} engines disagree", x.benchmark);
-            }
+        let a = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, Engine::Reference, None);
+        let b = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, Engine::Batched, None);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.tally, y.tally, "{} engines disagree", x.benchmark);
         }
     }
 

@@ -2,15 +2,17 @@
 //! `casted-serve` handlers call so the service never duplicates
 //! compile → prepare → simulate wiring.
 //!
-//! Three entry points mirror the service's three request types:
+//! The entry points mirror the service's request types:
 //!
 //! * [`compile_stats`] — MiniC source → scheduled-program statistics
 //!   (no simulation),
 //! * [`simulate_stats`] — source → fault-free cycle-accurate run, with
 //!   the per-request **deadline enforced through the simulator's cycle
 //!   limit** (`SimOptions::max_cycles`) rather than wall-clock timers,
-//! * [`inject_tally`] — source → Monte-Carlo fault campaign on either
-//!   engine (PR 4's checkpointed engine by default).
+//! * [`inject_tally_with`] — source → Monte-Carlo fault campaign on
+//!   either engine (the batched engine by default), streamed in chunks
+//!   by [`inject_stream_with`] or recombined through the section cache
+//!   by [`inject_tally_incremental_with`].
 //!
 //! Everything is a total function from request to
 //! `Result<Reply, String>`: bad source, bad machine parameters, or a
@@ -22,7 +24,8 @@
 //! cache rests on (see `docs/SERVING.md`).
 
 use casted_faults::{
-    run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, Outcome, SectionStore,
+    run_campaign_engine, run_campaign_incremental, run_campaign_streaming, CampaignConfig,
+    CampaignResult, Engine, Outcome, SectionStore, Tally,
 };
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::MachineConfig;
@@ -232,32 +235,20 @@ pub fn simulate_stats_with(
     }
 }
 
-/// *Inject* request: Monte-Carlo fault campaign with an explicit
-/// engine, trial count and seed.
+/// The body every *inject* request shares: compile and schedule
+/// `spec`, screen the target, and build the campaign config.
 ///
 /// The campaign engines `assert!` the golden run halts, so the target
 /// is pre-screened here under the same cycle deadline as
 /// [`simulate_stats`] — a non-terminating or trapping program is an
 /// `Err` reply, not a worker panic.
-pub fn inject_tally(
+fn campaign_target(
     spec: &JobSpec,
     trials: u64,
     seed: u64,
-    engine: Engine,
-    max_cycles: u64,
-) -> Result<InjectReply, String> {
-    inject_tally_with(spec, trials, seed, engine, max_cycles, None)
-}
-
-/// [`inject_tally`], optionally through the staged artifact pipeline.
-pub fn inject_tally_with(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    engine: Engine,
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
-) -> Result<InjectReply, String> {
+) -> Result<(casted_passes::Prepared, CampaignConfig), String> {
     let prep = prepare_via(spec, pipeline)?;
     let screen = simulate_quiet(
         &prep.sp,
@@ -279,21 +270,36 @@ pub fn inject_tally_with(
         replay_detect: spec.scheme.replay_detect(),
         ..Default::default()
     };
-    let r = run_campaign_engine(&prep.sp, &cfg, engine);
-    Ok(reply_of(&r))
+    Ok((prep, cfg))
 }
 
-/// [`inject_tally`] in streaming form: the campaign runs in chunks of
-/// `every` trials, reporting the running `(done, counts)` tally to
-/// `progress` at each chunk boundary short of the total; returning
-/// `false` cancels the campaign. The result's `completed` flag says
-/// whether every trial ran.
+/// *Inject* request: Monte-Carlo fault campaign with an explicit
+/// engine, trial count and seed, optionally through the staged
+/// artifact pipeline.
+pub fn inject_tally_with(
+    spec: &JobSpec,
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    max_cycles: u64,
+    pipeline: Option<&crate::stages::ArtifactPipeline>,
+) -> Result<InjectReply, String> {
+    let (prep, cfg) = campaign_target(spec, trials, seed, max_cycles, pipeline)?;
+    Ok(reply_of(&run_campaign_engine(&prep.sp, &cfg, engine)))
+}
+
+/// [`inject_tally_with`] in streaming form: the campaign runs in
+/// chunks of `every` trials, reporting the running `(done, counts)`
+/// tally to `progress` at each chunk boundary short of the total;
+/// returning `false` cancels the campaign. The result's `completed`
+/// flag says whether every trial ran.
 ///
 /// Exactness (from [`casted_faults::run_campaign_streaming`]): a
-/// completed streaming reply equals [`inject_tally`] under any engine
-/// field for field, and a partial tally at `done = M` equals
-/// [`inject_tally`] with `trials = M` — so `casted-serve` can stream
-/// long campaigns and still promise byte-identical terminal frames.
+/// completed streaming reply equals [`inject_tally_with`] under either
+/// engine field for field, and a partial tally at `done = M` equals
+/// [`inject_tally_with`] with `trials = M` — so `casted-serve` can
+/// stream long campaigns and still promise byte-identical terminal
+/// frames.
 pub fn inject_stream_with(
     spec: &JobSpec,
     trials: u64,
@@ -303,65 +309,26 @@ pub fn inject_stream_with(
     pipeline: Option<&crate::stages::ArtifactPipeline>,
     progress: &mut dyn FnMut(u64, &[u64; 6]) -> bool,
 ) -> Result<(InjectReply, bool), String> {
-    let prep = prepare_via(spec, pipeline)?;
-    let screen = simulate_quiet(
-        &prep.sp,
-        &SimOptions {
-            max_cycles,
-            injection: None,
-            ..SimOptions::default()
-        },
-    );
-    if !matches!(screen.stop, StopReason::Halt(_)) {
-        return Err(format!(
-            "campaign target must halt fault-free within {max_cycles} cycles, got {:?}",
-            screen.stop
-        ));
-    }
-    let cfg = CampaignConfig {
-        trials: trials as usize,
-        seed,
-        replay_detect: spec.scheme.replay_detect(),
-        ..Default::default()
-    };
-    let (r, completed) = casted_faults::run_campaign_streaming(
-        &prep.sp,
-        &cfg,
-        every.max(1) as usize,
-        &mut |done, tally| {
-            let mut counts = [0u64; 6];
-            for o in Outcome::ALL {
-                counts[o.index()] = tally.count(o) as u64;
-            }
-            progress(done, &counts)
-        },
-    );
+    let (prep, cfg) = campaign_target(spec, trials, seed, max_cycles, pipeline)?;
+    let (r, completed) =
+        run_campaign_streaming(&prep.sp, &cfg, every.max(1) as usize, &mut |done, tally| {
+            progress(done, &counts_of(tally))
+        });
     Ok((reply_of(&r), completed))
 }
 
-/// [`inject_tally`] through the compositional section cache: the
+/// [`inject_tally_with`] through the compositional section cache: the
 /// campaign keys each golden-trace section into the on-disk store at
 /// `section_cache`, so a repeat request — or a request for an *edited*
 /// program sharing most sections — recombines cached section evidence
 /// and re-injects only what changed. The reply is byte-identical to
-/// [`inject_tally`] on any engine (the recombination exactness
+/// [`inject_tally_with`] on either engine (the recombination exactness
 /// guarantee, `docs/INCREMENTAL.md`), which is what lets
 /// `casted-serve` substitute this path under its exact-reply cache:
 /// whole-request hits still come from the reply cache, and misses now
-/// degrade to *partial* section hits instead of cold campaigns.
-pub fn inject_tally_incremental(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    section_cache: &std::path::Path,
-    max_cycles: u64,
-) -> Result<InjectReply, String> {
-    inject_tally_incremental_with(spec, trials, seed, section_cache, max_cycles, None)
-}
-
-/// [`inject_tally_incremental`], optionally through the staged artifact
-/// pipeline — both caches compose: compile artifacts memoize the front
-/// half, section evidence memoizes the campaign.
+/// degrade to *partial* section hits instead of cold campaigns. Both
+/// caches compose: compile artifacts memoize the front half, section
+/// evidence memoizes the campaign.
 pub fn inject_tally_incremental_with(
     spec: &JobSpec,
     trials: u64,
@@ -370,41 +337,24 @@ pub fn inject_tally_incremental_with(
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<InjectReply, String> {
-    let prep = prepare_via(spec, pipeline)?;
-    let screen = simulate_quiet(
-        &prep.sp,
-        &SimOptions {
-            max_cycles,
-            injection: None,
-            ..SimOptions::default()
-        },
-    );
-    if !matches!(screen.stop, StopReason::Halt(_)) {
-        return Err(format!(
-            "campaign target must halt fault-free within {max_cycles} cycles, got {:?}",
-            screen.stop
-        ));
-    }
+    let (prep, cfg) = campaign_target(spec, trials, seed, max_cycles, pipeline)?;
     let store = SectionStore::open(section_cache)
         .map_err(|e| format!("cannot open section cache {}: {e}", section_cache.display()))?;
-    let cfg = CampaignConfig {
-        trials: trials as usize,
-        seed,
-        replay_detect: spec.scheme.replay_detect(),
-        ..Default::default()
-    };
-    let r = run_campaign_incremental(&prep.sp, &cfg, &store);
-    Ok(reply_of(&r))
+    Ok(reply_of(&run_campaign_incremental(&prep.sp, &cfg, &store)))
 }
 
-fn reply_of(r: &casted_faults::CampaignResult) -> InjectReply {
+fn counts_of(tally: &Tally) -> [u64; 6] {
     let mut counts = [0u64; 6];
     for o in Outcome::ALL {
-        counts[o.index()] = r.tally.count(o) as u64;
+        counts[o.index()] = tally.count(o) as u64;
     }
+    counts
+}
+
+fn reply_of(r: &CampaignResult) -> InjectReply {
     InjectReply {
         trials: r.tally.total() as u64,
-        counts,
+        counts: counts_of(&r.tally),
         golden_cycles: r.golden_cycles,
         golden_dyn: r.golden_dyn,
     }
@@ -470,13 +420,11 @@ mod tests {
     #[test]
     fn inject_tally_is_deterministic_and_engine_independent() {
         let s = spec(Scheme::Casted);
-        let a = inject_tally(&s, 40, 7, Engine::Checkpointed, u64::MAX).unwrap();
-        let b = inject_tally(&s, 40, 7, Engine::Checkpointed, u64::MAX).unwrap();
+        let a = inject_tally_with(&s, 40, 7, Engine::Batched, u64::MAX, None).unwrap();
+        let b = inject_tally_with(&s, 40, 7, Engine::Batched, u64::MAX, None).unwrap();
         assert_eq!(a, b);
-        let r = inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap();
+        let r = inject_tally_with(&s, 40, 7, Engine::Reference, u64::MAX, None).unwrap();
         assert_eq!(a, r, "engines must agree field for field");
-        let bt = inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap();
-        assert_eq!(a, bt, "batched engine must agree field for field");
         assert_eq!(a.trials, 40);
         assert_eq!(a.counts.iter().sum::<u64>(), 40);
     }
@@ -495,13 +443,13 @@ mod tests {
             })
             .unwrap();
         assert!(completed);
-        assert_eq!(reply, inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap());
+        assert_eq!(reply, inject_tally_with(&s, 40, 7, Engine::Batched, u64::MAX, None).unwrap());
         assert_eq!(updates.iter().map(|(d, _)| *d).collect::<Vec<_>>(), vec![16, 32]);
 
         let (partial, completed) =
             inject_stream_with(&s, 40, 7, u64::MAX, 16, None, &mut |_, _| false).unwrap();
         assert!(!completed);
-        assert_eq!(partial, inject_tally(&s, 16, 7, Engine::Batched, u64::MAX).unwrap());
+        assert_eq!(partial, inject_tally_with(&s, 16, 7, Engine::Batched, u64::MAX, None).unwrap());
     }
 
     /// The serve-facing exactness contract: the incremental path's
@@ -513,10 +461,10 @@ mod tests {
         let s = spec(Scheme::Casted);
         let dir = std::env::temp_dir().join(format!("casted-api-sect-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = inject_tally_incremental(&s, 40, 7, &dir, u64::MAX).unwrap();
-        let full = inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap();
+        let cold = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
+        let full = inject_tally_with(&s, 40, 7, Engine::Batched, u64::MAX, None).unwrap();
         assert_eq!(cold, full, "incremental reply diverged from the engines");
-        let warm = inject_tally_incremental(&s, 40, 7, &dir, u64::MAX).unwrap();
+        let warm = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
         assert_eq!(warm, cold, "warm recombination changed the reply");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -527,7 +475,7 @@ mod tests {
         s.source = "fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }".into();
         let dir = std::env::temp_dir().join(format!("casted-api-screen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let err = inject_tally_incremental(&s, 10, 1, &dir, 100).unwrap_err();
+        let err = inject_tally_incremental_with(&s, 10, 1, &dir, 100, None).unwrap_err();
         assert!(err.contains("must halt"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -536,7 +484,7 @@ mod tests {
     fn inject_screens_non_halting_targets() {
         let mut s = spec(Scheme::Noed);
         s.source = "fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }".into();
-        let err = inject_tally(&s, 10, 1, Engine::Checkpointed, 100).unwrap_err();
+        let err = inject_tally_with(&s, 10, 1, Engine::Reference, 100, None).unwrap_err();
         assert!(err.contains("must halt"), "{err}");
     }
 

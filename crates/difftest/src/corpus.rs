@@ -137,7 +137,7 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
         checks += 2;
 
         // Campaign-engine equivalence on the real kernels: the
-        // checkpointed engine's tally must be byte-identical to the
+        // batched engine's tally must be byte-identical to the
         // reference engine's from the same seed. Checked at the
         // corrupt-heavy (NOED) and detect-heavy (CASTED) corners only
         // — the reference engine pays a full re-simulation per trial,
@@ -148,24 +148,19 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
                 seed: ENGINE_SEED ^ casted_util::hash::fnv1a(name.as_bytes()),
                 ..Default::default()
             };
-            let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-            for engine in [
-                casted_faults::Engine::Checkpointed,
-                casted_faults::Engine::Batched,
-            ] {
-                let other = casted_faults::run_campaign_engine(&prep.sp, &ccfg, engine);
-                if reference.tally != other.tally {
-                    return Err(Divergence::new_corpus(
-                        name,
-                        &format!("engines:{stage}"),
-                        format!(
-                            "campaign engines diverged: reference {:?} vs {} {:?}",
-                            reference.tally.counts,
-                            engine.name(),
-                            other.tally.counts
-                        ),
-                    ));
-                }
+            let reference =
+                casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Reference);
+            let batched =
+                casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Batched);
+            if reference.tally != batched.tally {
+                return Err(Divergence::new_corpus(
+                    name,
+                    &format!("engines:{stage}"),
+                    format!(
+                        "campaign engines diverged: reference {:?} vs batched {:?}",
+                        reference.tally.counts, batched.tally.counts
+                    ),
+                ));
             }
             checks += 1;
 

@@ -35,9 +35,10 @@
 //! 7. **campaign engines** — a small Monte-Carlo campaign per ED
 //!    scheme at the balanced grid point must tally byte-identically
 //!    under the reference engine (every trial re-simulated from cycle
-//!    0) and the checkpointed engine (snapshots, fast-forward replay,
-//!    convergence pruning) — the standing cross-check that the perf
-//!    engine never changes a result (see `docs/PERFORMANCE.md`).
+//!    0) and the batched engine (lockstep lanes from golden-run
+//!    snapshots, fast-forward replay and convergence pruning for
+//!    diverged lanes) — the standing cross-check that the perf engine
+//!    never changes a result (see `docs/PERFORMANCE.md`).
 //! 8. **incremental sections** — the same campaign run through the
 //!    compositional section cache (`casted_faults::sections`), cold
 //!    and then warm from the on-disk store, must recombine to the

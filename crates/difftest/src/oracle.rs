@@ -373,10 +373,11 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         stages += probe_targets.len();
     }
 
-    // Layer 7: campaign-engine equivalence — the checkpointed
-    // fault-injection engine (snapshots, fast-forward replay,
-    // convergence pruning) must produce a tally byte-identical to the
-    // reference engine's from the same seed, on every ED program kept
+    // Layer 7: campaign-engine equivalence — the batched
+    // fault-injection engine (lockstep lanes from golden-run
+    // snapshots, with single-trial fast-forward replay and convergence
+    // pruning for diverged lanes) must produce a tally byte-identical
+    // to the reference engine's from the same seed, on every ED program kept
     // from the balanced grid point. This holds for library-carrying
     // cases too (equivalence is about the engines, not coverage), so
     // it is not gated like the probe layer.
@@ -387,32 +388,21 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
             seed: cfg.seed ^ ENGINE_SALT,
             ..Default::default()
         };
-        let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-        let checkpointed =
-            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Checkpointed);
-        if reference.tally != checkpointed.tally {
-            return Err(Divergence::new(
-                stage,
-                format!(
-                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs checkpointed {:?} (pruned {}, skipped {} insns)",
-                    reference.tally.counts,
-                    checkpointed.tally.counts,
-                    checkpointed.engine.pruned_trials,
-                    checkpointed.engine.skipped_insns,
-                ),
-            ));
-        }
+        let reference =
+            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Reference);
         let batched =
             casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Batched);
         if reference.tally != batched.tally {
             return Err(Divergence::new(
                 stage,
                 format!(
-                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs batched {:?} (lanes {}, diverged {})",
+                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs batched {:?} (lanes {}, diverged {}, pruned {}, skipped {} insns)",
                     reference.tally.counts,
                     batched.tally.counts,
                     batched.engine.batch.lanes,
                     batched.engine.batch.divergences,
+                    batched.engine.pruned_trials,
+                    batched.engine.skipped_insns,
                 ),
             ));
         }
@@ -573,18 +563,18 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
             replay_detect: scheme.replay_detect(),
             ..Default::default()
         };
-        let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-        for engine in [casted_faults::Engine::Checkpointed, casted_faults::Engine::Batched] {
-            let got = casted_faults::run_campaign_engine(&prep.sp, &ccfg, engine);
-            if reference.tally != got.tally {
-                return Err(Divergence::new(
-                    format!("engines:{stage}"),
-                    format!(
-                        "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs {engine:?} {:?}",
-                        reference.tally.counts, got.tally.counts,
-                    ),
-                ));
-            }
+        let reference =
+            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Reference);
+        let batched =
+            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Batched);
+        if reference.tally != batched.tally {
+            return Err(Divergence::new(
+                format!("engines:{stage}"),
+                format!(
+                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs batched {:?}",
+                    reference.tally.counts, batched.tally.counts,
+                ),
+            ));
         }
         for c in reference.tally.counts {
             digest.write_u64(c as u64);
@@ -664,7 +654,7 @@ fn probe_recovery_scheme(
         .replay_detect()
         .then(|| casted_sim::rbed_plan(&prep.sp, golden_sim.stats.dyn_insns));
     for inj in &injections {
-        let out = casted_faults::run_trial_with(
+        let out = casted_faults::run_trial(
             &prep.sp,
             &golden_sim,
             *inj,
@@ -757,9 +747,9 @@ fn probe_scheme(
         })
         .collect();
     let max_cycles = golden_sim.stats.cycles.saturating_mul(10) + 10_000;
-    let outcomes = casted_faults::run_trials(&prep.sp, &golden_sim, &injections, max_cycles);
-    for (inj, out) in injections.iter().zip(&outcomes) {
-        if *out == Outcome::DataCorrupt {
+    for inj in &injections {
+        let out = casted_faults::run_trial(&prep.sp, &golden_sim, *inj, max_cycles, None);
+        if out == Outcome::DataCorrupt {
             return Err(Divergence::new(
                 stage,
                 format!(
@@ -771,7 +761,7 @@ fn probe_scheme(
             ));
         }
     }
-    Ok(outcomes.len())
+    Ok(injections.len())
 }
 
 /// Re-run `sim` result comparison helper exposed for the corpus

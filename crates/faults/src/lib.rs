@@ -11,6 +11,13 @@
 //! classes ([`Outcome`]): Benign, Detected, Exception, DataCorrupt,
 //! Timeout. Timeouts are caught by the simulator's watchdog at a
 //! multiple of the fault-free cycle count.
+//!
+//! Every campaign — either [`Engine`], one-shot or streamed in chunks —
+//! runs through one private driver over one frozen injection stream
+//! ([`injection_stream`]); the compositional section cache
+//! ([`run_campaign_incremental`]) draws from the same stream.
+
+use std::sync::Arc;
 
 use casted_util::pool::run_pool;
 use casted_util::Rng;
@@ -21,13 +28,13 @@ pub use sections::{run_campaign_incremental, SectionStats, SectionStore};
 
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;
+use casted_ir::{Reg, RegClass};
 use casted_sim::{
     golden_with_checkpoints_rbed, rbed_plan, replay_trial, run_batch, simulate, simulate_quiet,
     BatchStats, GoldenTrace, Injection, LaneVerdict, RbedPlan, SimOptions, SimResult, TrialRun,
 };
 
 pub use casted_sim::DEFAULT_LANE_WIDTH;
-pub use casted_sim::{rbed_plan as build_rbed_plan, RbedPlan as RbedDigestPlan};
 
 /// The paper's five outcome classes of §IV-C, plus the `Corrected`
 /// class the recovery-capable TMRED scheme introduces (appended last,
@@ -110,9 +117,18 @@ pub struct CampaignConfig {
     /// Strike shape: single-bit (the paper's model, the default) or a
     /// multi-bit burst.
     pub flip: FlipModel,
+    /// Struck structure: a dynamic instruction's output register (the
+    /// paper's model, the default) or a random architectural register.
+    pub target: FaultModel,
     /// Replay-based detection (the RBED scheme): build a chunk-digest
     /// plan from the golden run and check every trial against it.
     pub replay_detect: bool,
+    /// Batch lane width of [`Engine::Batched`] (the `bench_faults`
+    /// lane-count sweep varies it; [`Engine::Reference`] ignores it).
+    /// The tally is independent of the width: lane grouping never
+    /// changes per-trial classification, only how much structural work
+    /// is shared.
+    pub lanes: usize,
 }
 
 impl Default for CampaignConfig {
@@ -122,7 +138,9 @@ impl Default for CampaignConfig {
             seed: 0xCA57ED,
             timeout_factor: 10,
             flip: FlipModel::Single,
+            target: FaultModel::InstructionOutput,
             replay_detect: false,
+            lanes: DEFAULT_LANE_WIDTH,
         }
     }
 }
@@ -182,22 +200,20 @@ impl std::fmt::Display for Tally {
     }
 }
 
-/// Which campaign engine to run. All engines produce byte-identical
+/// Which campaign engine to run. Both engines produce byte-identical
 /// [`Tally`] results from the same seed — an invariant enforced by
 /// unit tests here, a difftest oracle layer and a `scripts/ci.sh`
 /// byte-compare (see docs/PERFORMANCE.md).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Historical engine: every trial re-simulates from cycle 0.
+    /// Serial oracle: every trial re-simulates from cycle 0.
     Reference,
-    /// Checkpoint/replay engine: golden-run snapshots, fast-forward
-    /// to the injection site, convergence pruning, pooled trials.
-    Checkpointed,
     /// Batched structure-of-arrays engine: N trials stepped in
     /// lockstep over the shared instruction stream from a shared
     /// checkpoint, paying the structural per-instruction work once per
-    /// batch; structurally diverging lanes fall back to the
-    /// checkpointed replay path (see `casted_sim::batch`).
+    /// batch; structurally diverging lanes and singleton batches fall
+    /// back to the single-trial checkpoint replay
+    /// ([`casted_sim::replay_trial`], see `casted_sim::batch`).
     #[default]
     Batched,
 }
@@ -205,16 +221,16 @@ pub enum Engine {
 impl Engine {
     /// Accepted `--engine` flag values, for error messages at every
     /// flag site.
-    pub const ACCEPTED: &'static str = "reference|checkpointed|batched";
+    pub const ACCEPTED: &'static str = "reference|batched";
 
     /// Parse a `--engine` flag value (case-insensitive, so `Reference`
     /// and `BATCHED` work as well as the canonical lowercase names).
-    pub fn parse(s: &str) -> Option<Engine> {
+    /// The error names the value and lists [`Engine::ACCEPTED`].
+    pub fn parse(s: &str) -> Result<Engine, String> {
         match s.to_ascii_lowercase().as_str() {
-            "reference" => Some(Engine::Reference),
-            "checkpointed" => Some(Engine::Checkpointed),
-            "batched" => Some(Engine::Batched),
-            _ => None,
+            "reference" => Ok(Engine::Reference),
+            "batched" => Ok(Engine::Batched),
+            _ => Err(format!("unknown engine {s:?} (accepted values: {})", Engine::ACCEPTED)),
         }
     }
 
@@ -222,7 +238,6 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
-            Engine::Checkpointed => "checkpointed",
             Engine::Batched => "batched",
         }
     }
@@ -230,8 +245,8 @@ impl Engine {
 
 /// Engine-side work accounting for one campaign (all zero under
 /// [`Engine::Reference`]). The checkpoint fields cover snapshot
-/// capture and the single-trial replay path — which the batched
-/// engine also uses, for diverged lanes and singleton batches.
+/// capture and the single-trial replay path the batched engine falls
+/// back to for diverged lanes and singleton batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Golden-run snapshots captured (incl. the power-on state).
@@ -241,7 +256,7 @@ pub struct EngineStats {
     pub skipped_insns: u64,
     /// Single-trial replays ended early by convergence pruning.
     pub pruned_trials: u64,
-    /// Batched-engine lane accounting (zeroed for the other engines).
+    /// Batched-engine lane accounting.
     pub batch: BatchStats,
     /// Incremental-campaign section accounting (zeroed unless the
     /// campaign ran through [`run_campaign_incremental`]).
@@ -257,7 +272,7 @@ pub struct CampaignResult {
     pub golden_cycles: u64,
     /// Fault-free dynamic instruction count.
     pub golden_dyn: u64,
-    /// Checkpoint-engine accounting (zeroed for the reference engine).
+    /// Engine-side accounting (zeroed for the reference engine).
     pub engine: EngineStats,
 }
 
@@ -312,22 +327,22 @@ pub fn lane_outcome(v: LaneVerdict) -> Option<Outcome> {
     })
 }
 
-/// Run one injection trial from scratch. Trials stay out of the
-/// `sim.*` metrics ([`casted_sim::simulate_quiet`]): a campaign runs
-/// the same program hundreds of times and would drown the per-run
-/// counters — and the two campaign engines' counter snapshots must
-/// stay comparable.
-pub fn run_trial(sp: &ScheduledProgram, golden: &SimResult, inj: Injection, max_cycles: u64) -> Outcome {
-    run_trial_with(sp, golden, inj, max_cycles, None)
-}
-
-/// [`run_trial`] with an optional RBED digest plan installed.
-pub fn run_trial_with(
+/// Run one injection trial from scratch, with the campaign's RBED
+/// digest plan installed when it has one. This is the reference
+/// engine's trial and the targeted (non-Monte-Carlo) entry point of
+/// `casted-difftest`'s fault-probe oracles, which aim injections at
+/// specific dynamic instructions instead of sampling uniformly.
+///
+/// Trials stay out of the `sim.*` metrics
+/// ([`casted_sim::simulate_quiet`]): a campaign runs the same program
+/// hundreds of times and would drown the per-run counters — and the
+/// engines' counter snapshots must stay comparable.
+pub fn run_trial(
     sp: &ScheduledProgram,
     golden: &SimResult,
     inj: Injection,
     max_cycles: u64,
-    rbed: Option<&std::sync::Arc<RbedPlan>>,
+    rbed: Option<&Arc<RbedPlan>>,
 ) -> Outcome {
     let r = simulate_quiet(
         sp,
@@ -341,37 +356,6 @@ pub fn run_trial_with(
     classify(golden, &r)
 }
 
-/// Run an explicit list of injections and classify each against the
-/// fault-free reference — the *targeted* (non-Monte-Carlo) entry
-/// point used by `casted-difftest`'s fault-probe oracle, which aims
-/// injections at specific dynamic instructions (e.g. only
-/// `Provenance::Original` sites) instead of sampling uniformly.
-pub fn run_trials(
-    sp: &ScheduledProgram,
-    golden: &SimResult,
-    injections: &[Injection],
-    max_cycles: u64,
-) -> Vec<Outcome> {
-    injections
-        .iter()
-        .map(|&inj| run_trial(sp, golden, inj, max_cycles))
-        .collect()
-}
-
-/// Draw one `(dynamic instruction, bit)` injection site — the frozen
-/// per-trial draw order shared by both campaign variants (see the
-/// stream-format notes on [`run_campaign`]).
-///
-/// ## Degenerate golden runs
-///
-/// When `golden_dyn_insns == 0` (an empty or immediately-trapping
-/// golden run) there is no dynamic instruction to strike. Instead of
-/// panicking on the empty range `1..=0`, the draw returns the
-/// documented degenerate site `at = u64::MAX` — a site past every
-/// dynamic instruction, so the injection never lands and the trial
-/// runs fault-free (classified Benign). The `bit` draw still consumes
-/// one value from the stream, keeping the RNG in a defined state for
-/// subsequent trials.
 /// Strike shape for the `--fault-model` flag: single-bit (the paper's
 /// model) or an adjacent multi-bit burst (charge sharing between
 /// neighbouring cells upsets several bits of one word; see MITRA et
@@ -423,13 +407,27 @@ impl FlipModel {
     }
 }
 
+/// Which hardware structure the fault strikes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FaultModel {
+    /// The paper's model (§IV-C): flip a bit of a dynamic
+    /// instruction's output register right after writeback.
+    #[default]
+    InstructionOutput,
+    /// Extension: flip a bit of a uniformly random *architectural
+    /// register* at a random point in time — a register-file strike.
+    /// Dormant values (long-lived, rarely rewritten) are exposed much
+    /// longer under this model, so coverage differs.
+    RegisterFile,
+}
+
 /// [`draw_injection`] plus the burst draw: for a multi-bit model one
 /// extra value, `phase = gen_range(0..width)`, is drawn *after* the
-/// frozen `(at, bit)` pair (and after any model-specific draw, see
-/// [`run_campaign_with_model_engine`]), placing the drawn `bit` at
-/// offset `phase` inside the flipped window. Under
-/// [`FlipModel::Single`] no extra value is consumed, so the historical
-/// stream is reproduced byte for byte.
+/// frozen `(at, bit)` pair (and after the register-file victim draw,
+/// see [`injection_stream`]), placing the drawn `bit` at offset
+/// `phase` inside the flipped window. Under [`FlipModel::Single`] no
+/// extra value is consumed, so the historical stream is reproduced
+/// byte for byte.
 pub fn draw_burst_phase(rng: &mut Rng, flip: FlipModel) -> u8 {
     let w = flip.width();
     if w > 1 {
@@ -439,6 +437,20 @@ pub fn draw_burst_phase(rng: &mut Rng, flip: FlipModel) -> u8 {
     }
 }
 
+/// Draw one `(dynamic instruction, bit)` injection site — the frozen
+/// per-trial draw order every campaign shares (see the stream-format
+/// notes on [`run_campaign`]).
+///
+/// ## Degenerate golden runs
+///
+/// When `golden_dyn_insns == 0` (an empty or immediately-trapping
+/// golden run) there is no dynamic instruction to strike. Instead of
+/// panicking on the empty range `1..=0`, the draw returns the
+/// documented degenerate site `at = u64::MAX` — a site past every
+/// dynamic instruction, so the injection never lands and the trial
+/// runs fault-free (classified Benign). The `bit` draw still consumes
+/// one value from the stream, keeping the RNG in a defined state for
+/// subsequent trials.
 pub fn draw_injection(rng: &mut Rng, golden_dyn_insns: u64) -> (u64, u32) {
     if golden_dyn_insns == 0 {
         let bit = rng.gen_range(0..64u32);
@@ -449,7 +461,54 @@ pub fn draw_injection(rng: &mut Rng, golden_dyn_insns: u64) -> (u64, u32) {
     (at, bit)
 }
 
-/// Run a full Monte-Carlo campaign over `sp`.
+/// The register-file victim draw: one value, uniform over every
+/// allocated register of every class (`counts` in GP, FP, PR order).
+fn draw_register(rng: &mut Rng, counts: [u32; 3]) -> Reg {
+    let total: u32 = counts.iter().sum();
+    let mut pick = rng.gen_range(0..total.max(1));
+    if pick < counts[0] {
+        return Reg::gp(pick);
+    }
+    pick -= counts[0];
+    if pick < counts[1] {
+        return Reg::fp(pick);
+    }
+    Reg::pr(pick - counts[1])
+}
+
+/// The campaign's frozen injection stream, in trial order (format on
+/// [`run_campaign`]). Every campaign draws from this one function —
+/// both engines, streamed chunks and the incremental section cache —
+/// so their tallies agree trial for trial.
+pub fn injection_stream(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    golden_dyn: u64,
+) -> Vec<Injection> {
+    // Register counts are a property of the function, hoisted out of
+    // the trial loop.
+    let reg_counts = (cfg.target == FaultModel::RegisterFile).then(|| {
+        let func = sp.module.entry_fn();
+        [RegClass::Gp, RegClass::Fp, RegClass::Pr].map(|c| func.reg_count(c))
+    });
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    (0..cfg.trials)
+        .map(|_| {
+            let (at, bit) = draw_injection(&mut rng, golden_dyn);
+            let target = reg_counts.map(|counts| draw_register(&mut rng, counts));
+            let phase = draw_burst_phase(&mut rng, cfg.flip);
+            Injection {
+                at_dyn_insn: at,
+                bit,
+                target,
+                width: cfg.flip.width(),
+                phase,
+            }
+        })
+        .collect()
+}
+
+/// Run a full Monte-Carlo campaign over `sp` on the default engine.
 ///
 /// Each trial draws a uniformly random dynamic instruction of the run
 /// and a random bit of its output register. (The paper fixes the error
@@ -468,51 +527,20 @@ pub fn draw_injection(rng: &mut Rng, golden_dyn_insns: u64) -> (u64, u32) {
 ///    instruction whose output is struck, and
 /// 2. `bit` = `gen_range(0..64u32)` — the flipped bit.
 ///
-/// (The [`FaultModel::RegisterFile`] variant draws a third value,
+/// (The [`FaultModel::RegisterFile`] target draws a third value,
 /// `gen_range(0..total_allocated_regs)`, to pick the victim
-/// register.) The `stream_format_is_frozen` unit test pins golden
-/// values for this sequence; any change to the draw order, the RNG
-/// algorithm or the bounded-draw mapping is a format break and must
-/// be made deliberately there.
+/// register, and a burst [`FlipModel`] one more, the phase.) The
+/// `stream_format_is_frozen` unit test pins golden values for this
+/// sequence; any change to the draw order, the RNG algorithm or the
+/// bounded-draw mapping is a format break and must be made
+/// deliberately there.
 pub fn run_campaign(sp: &ScheduledProgram, cfg: &CampaignConfig) -> CampaignResult {
     run_campaign_engine(sp, cfg, Engine::default())
 }
 
-/// [`run_campaign`] on the historical engine: strictly serial, every
-/// trial re-simulated from cycle 0. Kept as the cross-check oracle
-/// for the checkpointed engine — same seed ⇒ byte-identical tally.
-pub fn run_campaign_reference(sp: &ScheduledProgram, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_engine(sp, cfg, Engine::Reference)
-}
-
 /// [`run_campaign`] with an explicit engine choice.
 pub fn run_campaign_engine(sp: &ScheduledProgram, cfg: &CampaignConfig, engine: Engine) -> CampaignResult {
-    run_campaign_engine_lanes(sp, cfg, engine, DEFAULT_LANE_WIDTH)
-}
-
-/// [`run_campaign_engine`] with an explicit batch lane width — only
-/// meaningful for [`Engine::Batched`] (the `bench_faults` lane-count
-/// sweep drives this); the other engines ignore it. The tally is
-/// independent of the width: lane grouping never changes per-trial
-/// classification, only how much structural work is shared.
-pub fn run_campaign_engine_lanes(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    engine: Engine,
-    lane_width: usize,
-) -> CampaignResult {
-    let flip = cfg.flip;
-    campaign_core(sp, cfg, engine, lane_width, &mut |rng, dyn_insns| {
-        let (at, bit) = draw_injection(rng, dyn_insns);
-        let phase = draw_burst_phase(rng, flip);
-        Injection {
-            at_dyn_insn: at,
-            bit,
-            target: None,
-            width: flip.width(),
-            phase,
-        }
-    })
+    campaign_core(sp, cfg, engine, None).0
 }
 
 /// [`run_campaign`] in incremental chunks, reporting the running tally
@@ -533,78 +561,119 @@ pub fn run_campaign_engine_lanes(
 ///   campaign result, not an approximation.
 /// * **Engine independence** — per-trial outcomes are engine-invariant
 ///   (the workspace-wide byte-identical-tally contract), so the final
-///   tally equals [`run_campaign_engine`] under *any* engine; chunks
-///   run on the checkpointed replay path.
+///   tally equals [`run_campaign_engine`] under either engine; each
+///   chunk runs as its own batched campaign slice, in trial order.
 pub fn run_campaign_streaming(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     chunk: usize,
     progress: &mut dyn FnMut(u64, &Tally) -> bool,
 ) -> (CampaignResult, bool) {
-    let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-    assert!(
-        matches!(trace.result.stop, StopReason::Halt(_)),
-        "campaign target must run fault-free to completion, got {:?}",
-        trace.result.stop
-    );
-    let golden_cycles = trace.result.stats.cycles;
-    let golden_dyn = trace.result.stats.dyn_insns;
-    let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
+    campaign_core(sp, cfg, Engine::Batched, Some((chunk, progress)))
+}
 
-    // Pre-draw the whole frozen stream up front (the same order every
-    // engine uses), then execute it chunk by chunk.
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = draw_injection(&mut rng, golden_dyn);
-            let phase = draw_burst_phase(&mut rng, cfg.flip);
-            Injection {
-                at_dyn_insn: at,
-                bit,
-                target: None,
-                width: cfg.flip.width(),
-                phase,
-            }
-        })
-        .collect();
+/// Build the campaign's RBED digest plan when [`CampaignConfig::
+/// replay_detect`] is set (`None` otherwise): one quiet golden run for
+/// the dynamic length, then [`casted_sim::rbed_plan`]'s two recording
+/// passes. Never-halting targets fall through to the campaign's own
+/// `must run fault-free to completion` refusal.
+fn campaign_rbed_plan(sp: &ScheduledProgram, cfg: &CampaignConfig) -> Option<Arc<RbedPlan>> {
+    if !cfg.replay_detect {
+        return None;
+    }
+    let golden = simulate_quiet(sp, &SimOptions::default());
+    Some(rbed_plan(sp, golden.stats.dyn_insns))
+}
 
-    let span = casted_obs::span("faults.campaign_ns");
-    let chunk = chunk.max(1);
-    let mut tally = Tally::default();
-    let mut engine_stats = EngineStats {
-        checkpoints: trace.checkpoints_taken(),
-        ..EngineStats::default()
-    };
-    let mut done: u64 = 0;
-    let mut completed = true;
-    for injs in injections.chunks(chunk) {
-        let outcomes = run_pool(
-            injs.iter()
-                .map(|&inj| {
-                    let trace: &GoldenTrace = &trace;
-                    move || {
-                        let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
-                        let outcome = match run {
-                            TrialRun::Finished(r) => classify(&trace.result, &r),
-                            TrialRun::Converged => Outcome::Benign,
-                        };
-                        (outcome, rs)
-                    }
-                })
-                .collect(),
-        );
-        for (outcome, rs) in outcomes {
-            tally.record(outcome);
-            engine_stats.skipped_insns += rs.skipped_insns;
-            engine_stats.pruned_trials += rs.pruned as u64;
-        }
-        done += injs.len() as u64;
-        if done < cfg.trials as u64 && !progress(done, &tally) {
-            completed = false;
-            break;
+/// The fault-free run a campaign classifies against: a plain run for
+/// the reference engine, a checkpointed trace for the batched one.
+enum Golden {
+    Plain(SimResult),
+    Traced(GoldenTrace),
+}
+
+impl Golden {
+    fn result(&self) -> &SimResult {
+        match self {
+            Golden::Plain(r) => r,
+            Golden::Traced(t) => &t.result,
         }
     }
-    record_campaign_metrics(&tally, Some(&engine_stats), span);
+}
+
+/// A streamed campaign's chunk size and its `progress(done, tally)`
+/// callback.
+type ProgressSink<'a> = (usize, &'a mut dyn FnMut(u64, &Tally) -> bool);
+
+/// The campaign driver every [`run_campaign`] variant shares: capture
+/// the golden run once, draw the frozen stream once
+/// ([`injection_stream`]), run the trials on `engine` chunk by chunk
+/// and reduce the tally in trial order.
+///
+/// Without a `(chunk, progress)` sink one chunk holds every trial, so
+/// the batched engine partitions the whole campaign at once. With one,
+/// `progress` sees the running tally after each chunk short of the
+/// last, and returning `false` stops the campaign (the second result
+/// is then `false`).
+fn campaign_core(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    engine: Engine,
+    mut sink: Option<ProgressSink<'_>>,
+) -> (CampaignResult, bool) {
+    // Opened before golden capture, so the golden runs and the RBED
+    // plan are attributed to the campaign too.
+    let span = casted_obs::span("faults.campaign_ns");
+    let rbed = campaign_rbed_plan(sp, cfg);
+    let golden = match engine {
+        Engine::Reference => Golden::Plain(simulate(sp, &SimOptions::default())),
+        Engine::Batched => Golden::Traced(golden_with_checkpoints_rbed(sp, rbed.clone())),
+    };
+    let result = golden.result();
+    assert!(
+        matches!(result.stop, StopReason::Halt(_)),
+        "campaign target must run fault-free to completion, got {:?}",
+        result.stop
+    );
+    let golden_cycles = result.stats.cycles;
+    let golden_dyn = result.stats.dyn_insns;
+    let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
+    let injections = injection_stream(sp, cfg, golden_dyn);
+
+    let mut engine_stats = EngineStats {
+        checkpoints: match &golden {
+            Golden::Plain(_) => 0,
+            Golden::Traced(t) => t.checkpoints_taken(),
+        },
+        ..EngineStats::default()
+    };
+    let chunk = sink.as_ref().map_or(cfg.trials, |(chunk, _)| *chunk).max(1);
+    let mut tally = Tally::default();
+    let mut done = 0usize;
+    let mut completed = true;
+    for injs in injections.chunks(chunk) {
+        let outcomes = match &golden {
+            Golden::Plain(g) => injs
+                .iter()
+                .map(|&inj| run_trial(sp, g, inj, max_cycles, rbed.as_ref()))
+                .collect(),
+            Golden::Traced(t) => run_batched(sp, t, injs, max_cycles, cfg.lanes, &mut engine_stats),
+        };
+        for o in outcomes {
+            tally.record(o);
+        }
+        done += injs.len();
+        if done < cfg.trials {
+            if let Some((_, progress)) = sink.as_mut() {
+                if !progress(done as u64, &tally) {
+                    completed = false;
+                    break;
+                }
+            }
+        }
+    }
+    let traced = matches!(golden, Golden::Traced(_));
+    record_campaign_metrics(&tally, traced.then_some(&engine_stats), span);
     (
         CampaignResult {
             tally,
@@ -616,228 +685,94 @@ pub fn run_campaign_streaming(
     )
 }
 
-/// Build the campaign's RBED digest plan when [`CampaignConfig::
-/// replay_detect`] is set (`None` otherwise): one quiet golden run for
-/// the dynamic length, then [`casted_sim::rbed_plan`]'s two recording
-/// passes. Never-halting targets fall through to the engines' own
-/// `must run fault-free to completion` refusal.
-fn campaign_rbed_plan(
+/// One trial on the exact single-trial replay path (restore the last
+/// checkpoint before the site, prune on convergence), with its replay
+/// work added to `stats`.
+fn replay_outcome(
     sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-) -> Option<std::sync::Arc<RbedPlan>> {
-    if !cfg.replay_detect {
-        return None;
+    trace: &GoldenTrace,
+    inj: Injection,
+    max_cycles: u64,
+    stats: &mut EngineStats,
+) -> Outcome {
+    let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
+    stats.skipped_insns += rs.skipped_insns;
+    stats.pruned_trials += rs.pruned as u64;
+    match run {
+        TrialRun::Finished(r) => classify(&trace.result, &r),
+        TrialRun::Converged => Outcome::Benign,
     }
-    let golden = simulate_quiet(sp, &SimOptions::default());
-    Some(rbed_plan(sp, golden.stats.dyn_insns))
 }
 
-/// Shared campaign driver: draw the frozen injection stream, run
-/// every trial on the chosen engine, reduce the tally in trial order.
+/// Run `injections` on the batched engine; outcomes come back in input
+/// order, and the engine work is added to `stats`.
 ///
-/// The checkpointed path **pre-draws all injections up front** (the
-/// per-trial draw order through `draw` is unchanged — the frozen
-/// stream contract), replays each against the golden trace, and runs
-/// the replays on [`casted_util::pool::run_pool`]. Results come back
-/// in input order, so the tally reduction is independent of thread
-/// interleaving and the tallies of both engines are byte-identical.
-fn campaign_core(
+/// Trials are sorted by injection site and the sorted order is cut
+/// into `lanes`-wide batches. Each batch restores the checkpoint
+/// strictly before its *earliest* site (the identical rule a
+/// single-trial replay uses, via `restore_index`); lanes with later
+/// sites stay virtual — costing nothing — until the shared leader
+/// reaches them, so one leader replay is amortized over the whole
+/// batch even when its sites span several checkpoint buckets, and the
+/// leaders' combined stepping telescopes to about one pass over the
+/// golden run per campaign. A singleton batch would be one lane of
+/// pure overhead — those trials go straight to `replay_trial`.
+/// Batches run on [`casted_util::pool::run_pool`]; outcomes land in
+/// per-trial slots, so the result is independent of batch shapes and
+/// pool interleaving.
+fn run_batched(
     sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    engine: Engine,
-    lane_width: usize,
-    draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
-) -> CampaignResult {
-    match engine {
-        Engine::Reference => {
-            let golden = simulate(sp, &SimOptions::default());
-            assert!(
-                matches!(golden.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                golden.stop
-            );
-            let rbed = campaign_rbed_plan(sp, cfg);
-            let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let mut tally = Tally::default();
-            let span = casted_obs::span("faults.campaign_ns");
-            for _ in 0..cfg.trials {
-                let inj = draw(&mut rng, golden.stats.dyn_insns);
-                tally.record(run_trial_with(sp, &golden, inj, max_cycles, rbed.as_ref()));
-            }
-            record_campaign_metrics(&tally, None, span);
-            CampaignResult {
-                tally,
-                golden_cycles: golden.stats.cycles,
-                golden_dyn: golden.stats.dyn_insns,
-                engine: EngineStats::default(),
-            }
-        }
-        Engine::Checkpointed => {
-            let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-            assert!(
-                matches!(trace.result.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                trace.result.stop
-            );
-            let golden_cycles = trace.result.stats.cycles;
-            let golden_dyn = trace.result.stats.dyn_insns;
-            let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let injections: Vec<Injection> =
-                (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
-
-            let span = casted_obs::span("faults.campaign_ns");
-            let outcomes = run_pool(
-                injections
-                    .into_iter()
-                    .map(|inj| {
-                        let trace: &GoldenTrace = &trace;
-                        move || {
-                            let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
-                            let outcome = match run {
-                                TrialRun::Finished(r) => classify(&trace.result, &r),
-                                TrialRun::Converged => Outcome::Benign,
-                            };
-                            (outcome, rs)
+    trace: &GoldenTrace,
+    injections: &[Injection],
+    max_cycles: u64,
+    lanes: usize,
+    stats: &mut EngineStats,
+) -> Vec<Outcome> {
+    let mut order: Vec<usize> = (0..injections.len()).collect();
+    order.sort_by_key(|&i| (injections[i].at_dyn_insn, i));
+    let results = run_pool(
+        order
+            .chunks(lanes.max(2))
+            .map(|ids| {
+                move || {
+                    let mut local = EngineStats::default();
+                    let mut outcomes: Vec<(usize, Outcome)> = Vec::with_capacity(ids.len());
+                    if let [only] = ids {
+                        let o = replay_outcome(sp, trace, injections[*only], max_cycles, &mut local);
+                        outcomes.push((*only, o));
+                    } else {
+                        let injs: Vec<Injection> = ids.iter().map(|&i| injections[i]).collect();
+                        let ckpt = trace.restore_index(injs[0].at_dyn_insn);
+                        let (verdicts, bs) = run_batch(sp, trace, ckpt, &injs, max_cycles);
+                        local.batch.accumulate(bs);
+                        for (&trial, &v) in ids.iter().zip(&verdicts) {
+                            // The batch proves nothing about a
+                            // structurally diverged lane: replay that
+                            // one trial on the exact path.
+                            let o = lane_outcome(v).unwrap_or_else(|| {
+                                replay_outcome(sp, trace, injections[trial], max_cycles, &mut local)
+                            });
+                            outcomes.push((trial, o));
                         }
-                    })
-                    .collect(),
-            );
-
-            let mut tally = Tally::default();
-            let mut engine_stats = EngineStats {
-                checkpoints: trace.checkpoints_taken(),
-                ..EngineStats::default()
-            };
-            for (outcome, rs) in outcomes {
-                tally.record(outcome);
-                engine_stats.skipped_insns += rs.skipped_insns;
-                engine_stats.pruned_trials += rs.pruned as u64;
-            }
-            record_campaign_metrics(&tally, Some(&engine_stats), span);
-            CampaignResult {
-                tally,
-                golden_cycles,
-                golden_dyn,
-                engine: engine_stats,
-            }
-        }
-        Engine::Batched => {
-            let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-            assert!(
-                matches!(trace.result.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                trace.result.stop
-            );
-            let golden_cycles = trace.result.stats.cycles;
-            let golden_dyn = trace.result.stats.dyn_insns;
-            let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let injections: Vec<Injection> =
-                (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
-
-            let span = casted_obs::span("faults.campaign_ns");
-
-            // Sort trials by injection site and cut the sorted order
-            // into lane_width batches. Each batch restores the
-            // checkpoint strictly before its *earliest* site (the
-            // identical rule a single-trial replay uses, via
-            // `restore_index`); lanes with later sites stay virtual —
-            // costing nothing — until the shared leader reaches them,
-            // so one leader replay is amortized over the whole batch
-            // even when its sites span several checkpoint buckets,
-            // and the leaders' combined stepping telescopes to about
-            // one pass over the golden run per campaign. A singleton
-            // batch would be one lane of pure overhead — those trials
-            // go straight to `replay_trial`.
-            let lane_width = lane_width.max(2);
-            let mut order: Vec<usize> = (0..injections.len()).collect();
-            order.sort_by_key(|&i| (injections[i].at_dyn_insn, i));
-            let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
-            for chunk in order.chunks(lane_width) {
-                let ckpt = trace.restore_index(injections[chunk[0]].at_dyn_insn);
-                batches.push((ckpt, chunk.to_vec()));
-            }
-
-            let results = run_pool(
-                batches
-                    .into_iter()
-                    .map(|(ckpt, ids)| {
-                        let trace: &GoldenTrace = &trace;
-                        let injections: &[Injection] = &injections;
-                        move || {
-                            let mut outcomes: Vec<(usize, Outcome)> =
-                                Vec::with_capacity(ids.len());
-                            let mut bstats = BatchStats::default();
-                            let (mut skipped, mut pruned) = (0u64, 0u64);
-                            let replay_one = |inj: Injection,
-                                                  skipped: &mut u64,
-                                                  pruned: &mut u64| {
-                                let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
-                                *skipped += rs.skipped_insns;
-                                *pruned += rs.pruned as u64;
-                                match run {
-                                    TrialRun::Finished(r) => classify(&trace.result, &r),
-                                    TrialRun::Converged => Outcome::Benign,
-                                }
-                            };
-                            if ids.len() == 1 {
-                                let o = replay_one(injections[ids[0]], &mut skipped, &mut pruned);
-                                outcomes.push((ids[0], o));
-                            } else {
-                                let injs: Vec<Injection> =
-                                    ids.iter().map(|&i| injections[i]).collect();
-                                let (verdicts, bs) =
-                                    run_batch(sp, trace, ckpt, &injs, max_cycles);
-                                bstats.accumulate(bs);
-                                for (&trial, &v) in ids.iter().zip(&verdicts) {
-                                    // The batch proves nothing about a
-                                    // structurally diverged lane:
-                                    // replay that one trial on the
-                                    // exact path.
-                                    let o = lane_outcome(v).unwrap_or_else(|| {
-                                        replay_one(injections[trial], &mut skipped, &mut pruned)
-                                    });
-                                    outcomes.push((trial, o));
-                                }
-                            }
-                            (outcomes, bstats, skipped, pruned)
-                        }
-                    })
-                    .collect(),
-            );
-
-            // Reduce in trial order regardless of batch shapes or pool
-            // interleaving: outcomes land in per-trial slots first.
-            let mut slots: Vec<Option<Outcome>> = vec![None; cfg.trials];
-            let mut engine_stats = EngineStats {
-                checkpoints: trace.checkpoints_taken(),
-                ..EngineStats::default()
-            };
-            for (outcomes, bs, skipped, pruned) in results {
-                engine_stats.batch.accumulate(bs);
-                engine_stats.skipped_insns += skipped;
-                engine_stats.pruned_trials += pruned;
-                for (i, o) in outcomes {
-                    slots[i] = Some(o);
+                    }
+                    (outcomes, local)
                 }
-            }
-            let mut tally = Tally::default();
-            for o in slots {
-                tally.record(o.expect("every trial classified exactly once"));
-            }
-            record_campaign_metrics(&tally, Some(&engine_stats), span);
-            CampaignResult {
-                tally,
-                golden_cycles,
-                golden_dyn,
-                engine: engine_stats,
-            }
+            })
+            .collect(),
+    );
+    let mut slots: Vec<Option<Outcome>> = vec![None; injections.len()];
+    for (outcomes, local) in results {
+        stats.skipped_insns += local.skipped_insns;
+        stats.pruned_trials += local.pruned_trials;
+        stats.batch.accumulate(local.batch);
+        for (i, o) in outcomes {
+            slots[i] = Some(o);
         }
     }
+    slots
+        .into_iter()
+        .map(|o| o.expect("every trial classified exactly once"))
+        .collect()
 }
 
 /// Static counter name per outcome class.
@@ -856,12 +791,12 @@ fn outcome_counter(o: Outcome) -> &'static str {
 /// outcome tallies and trial count as deterministic counters, the
 /// campaign wall-time and trial throughput as timing metrics (span
 /// histogram + `faults.trials_per_sec` gauge, both excluded from the
-/// counter-only snapshot). The checkpointed and batched engines also
-/// flush their `faults.checkpoint.*` / `faults.batch.*` work counters
-/// — and incremental campaigns their `faults.sections.*` cache
-/// counters — the only counter-snapshot keys on which the engines are
-/// allowed to differ (`scripts/ci.sh` strips exactly these before its
-/// byte-compare).
+/// counter-only snapshot). The batched engine also flushes its
+/// `faults.checkpoint.*` / `faults.batch.*` work counters — and
+/// incremental campaigns their `faults.sections.*` cache counters —
+/// the only counter-snapshot keys on which campaigns over the same
+/// stream are allowed to differ (`scripts/ci.sh` strips exactly these
+/// before its byte-compare).
 pub(crate) fn record_campaign_metrics(
     tally: &Tally,
     engine: Option<&EngineStats>,
@@ -1047,7 +982,9 @@ mod tests {
         });
         assert!(completed);
         assert_eq!(res.tally.total(), 40);
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        // Each chunk runs as a batched campaign slice.
+        assert!(res.engine.batch.lanes > 0, "streaming ran no lanes: {:?}", res.engine);
+        for engine in [Engine::Reference, Engine::Batched] {
             let full = run_campaign_engine(&sp, &cfg, engine);
             assert_eq!(res.tally, full.tally, "streaming vs {engine:?}");
             assert_eq!(res.golden_cycles, full.golden_cycles);
@@ -1128,13 +1065,14 @@ mod tests {
             &golden,
             Injection::single(u64::MAX, 5, None),
             golden.stats.cycles * 10,
+            None,
         );
         assert_eq!(outcome, Outcome::Benign);
     }
 
     /// Same-seed campaigns must agree between campaign variants too:
-    /// the `InstructionOutput` model inside `run_campaign_with_model`
-    /// delegates, so its draw sequence is the same stream.
+    /// every variant draws through `injection_stream`, so its draw
+    /// sequence is the same stream.
     #[test]
     fn stream_is_platform_stable_across_dyn_lengths() {
         // The (at, bit) pair for trial 0 must depend only on the seed
@@ -1217,34 +1155,11 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
-    /// The tentpole equivalence oracle at unit scale: same seed, same
-    /// trials ⇒ the checkpointed engine's tally is byte-identical to
-    /// the reference engine's, and the checkpoint engine actually did
-    /// engine work (snapshots + fast-forward).
-    #[test]
-    fn checkpointed_and_reference_engines_agree() {
-        let sp = unprotected();
-        let cfg = CampaignConfig {
-            trials: 80,
-            ..Default::default()
-        };
-        let reference = run_campaign_reference(&sp, &cfg);
-        let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
-        assert_eq!(reference.tally, checkpointed.tally, "engines diverged");
-        assert_eq!(reference.golden_cycles, checkpointed.golden_cycles);
-        assert_eq!(reference.golden_dyn, checkpointed.golden_dyn);
-        assert_eq!(reference.engine, EngineStats::default());
-        assert!(checkpointed.engine.checkpoints > 1, "no snapshots captured");
-        assert!(
-            checkpointed.engine.skipped_insns > 0,
-            "fast-forward never skipped a prefix"
-        );
-    }
-
-    /// The batched engine joins the same equivalence class: same seed,
-    /// same trials ⇒ byte-identical tally to the reference engine —
-    /// and the batches genuinely ran lanes (the speedup is real work
-    /// sharing, not everything falling back to single-trial replay).
+    /// The equivalence oracle at unit scale: same seed, same trials ⇒
+    /// the batched engine's tally is byte-identical to the reference
+    /// engine's — and the batches genuinely ran lanes from captured
+    /// snapshots (the speedup is real work sharing, not everything
+    /// falling back to single-trial replay).
     #[test]
     fn batched_engine_agrees_with_reference() {
         let sp = unprotected();
@@ -1252,11 +1167,13 @@ mod tests {
             trials: 80,
             ..Default::default()
         };
-        let reference = run_campaign_reference(&sp, &cfg);
+        let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
         let batched = run_campaign_engine(&sp, &cfg, Engine::Batched);
         assert_eq!(reference.tally, batched.tally, "batched engine diverged");
         assert_eq!(reference.golden_cycles, batched.golden_cycles);
         assert_eq!(reference.golden_dyn, batched.golden_dyn);
+        assert_eq!(reference.engine, EngineStats::default());
+        assert!(batched.engine.checkpoints > 1, "no snapshots captured");
         assert!(batched.engine.batch.lanes > 0, "no lanes ever batched");
         assert!(
             batched.engine.batch.lanes > batched.engine.batch.divergences,
@@ -1279,15 +1196,15 @@ mod tests {
             trials: 60,
             ..Default::default()
         };
-        let base = run_campaign_engine_lanes(&sp, &cfg, Engine::Batched, 2);
+        let base = run_campaign_engine(&sp, &CampaignConfig { lanes: 2, ..cfg.clone() }, Engine::Batched);
         for width in [4usize, 16, 64] {
-            let r = run_campaign_engine_lanes(&sp, &cfg, Engine::Batched, width);
+            let r = run_campaign_engine(&sp, &CampaignConfig { lanes: width, ..cfg.clone() }, Engine::Batched);
             assert_eq!(base.tally, r.tally, "lane width {width} changed the tally");
         }
     }
 
-    /// Regression (satellite): one-dynamic-instruction programs (`halt`
-    /// alone) must campaign cleanly under all three engines and agree:
+    /// Regression: one-dynamic-instruction programs (`halt` alone) must
+    /// campaign cleanly under both engines and agree:
     /// the lone instruction has no output register, every strike
     /// slides off the end, and all trials are Benign.
     #[test]
@@ -1302,19 +1219,17 @@ mod tests {
             trials: 25,
             ..Default::default()
         };
-        let reference = run_campaign_reference(&sp, &cfg);
+        let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
         assert_eq!(reference.golden_dyn, 1);
         assert_eq!(reference.tally.count(Outcome::Benign), 25);
-        for engine in [Engine::Checkpointed, Engine::Batched] {
-            let r = run_campaign_engine(&sp, &cfg, engine);
-            assert_eq!(r.tally, reference.tally, "{} diverged", engine.name());
-        }
+        let batched = run_campaign_engine(&sp, &cfg, Engine::Batched);
+        assert_eq!(batched.tally, reference.tally, "batched diverged");
     }
 
-    /// Regression (satellite): zero-dynamic-instruction programs (an
-    /// empty entry block that falls through) cannot be campaign
-    /// targets — the golden run never halts — and all three engines
-    /// must refuse identically instead of panicking deep inside
+    /// Regression: zero-dynamic-instruction programs (an empty entry
+    /// block that falls through) cannot be campaign targets — the
+    /// golden run never halts — and both engines must refuse
+    /// identically instead of panicking deep inside
     /// checkpoint or batch bookkeeping.
     #[test]
     fn zero_insn_program_is_refused_identically_by_all_engines() {
@@ -1328,7 +1243,7 @@ mod tests {
             trials: 5,
             ..Default::default()
         };
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        for engine in [Engine::Reference, Engine::Batched] {
             let sp = sp.clone();
             let cfg = cfg.clone();
             let err = std::panic::catch_unwind(move || run_campaign_engine(&sp, &cfg, engine))
@@ -1357,29 +1272,42 @@ mod tests {
             trials: 120,
             ..Default::default()
         };
-        let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+        // One-trial chunks are singleton batches, so every trial takes
+        // the single-trial replay path that prunes.
+        let (replayed, completed) = run_campaign_streaming(&sp, &cfg, 1, &mut |_, _| true);
+        assert!(completed);
+        assert_eq!(replayed.engine.batch.lanes, 0, "a one-trial chunk ran a batch");
         assert!(
-            checkpointed.engine.pruned_trials > 0,
+            replayed.engine.pruned_trials > 0,
             "campaign never pruned — the test is vacuous: {:?}",
-            checkpointed.engine
+            replayed.engine
         );
-        let reference = run_campaign_reference(&sp, &cfg);
-        assert_eq!(reference.tally, checkpointed.tally);
+        let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
+        assert_eq!(reference.tally, replayed.tally);
         // Pruned trials are a subset of the Benign class.
-        assert!(
-            checkpointed.engine.pruned_trials <= checkpointed.tally.count(Outcome::Benign) as u64
-        );
+        assert!(replayed.engine.pruned_trials <= replayed.tally.count(Outcome::Benign) as u64);
     }
 
     #[test]
     fn engine_parse_round_trips() {
-        for e in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
+        for e in [Engine::Reference, Engine::Batched] {
+            assert_eq!(Engine::parse(e.name()), Ok(e));
             // Every canonical name appears in the advertised flag help.
             assert!(Engine::ACCEPTED.contains(e.name()));
         }
-        assert_eq!(Engine::parse("warp-drive"), None);
+        assert!(Engine::parse("warp-drive").is_err());
         assert_eq!(Engine::default(), Engine::Batched);
+    }
+
+    /// The retired checkpoint engine's name is an error naming both
+    /// accepted engines, not a silent fallback to the default.
+    #[test]
+    fn retired_checkpointed_engine_is_rejected() {
+        for name in ["checkpointed", "CHECKPOINTED"] {
+            let err = Engine::parse(name).unwrap_err();
+            assert!(err.contains(name), "{err}");
+            assert!(err.contains("reference|batched"), "{err}");
+        }
     }
 
     /// Regression (satellite): `parse` used to silently reject case
@@ -1387,11 +1315,11 @@ mod tests {
     /// fallback to the default engine.
     #[test]
     fn engine_parse_is_case_insensitive() {
-        assert_eq!(Engine::parse("Reference"), Some(Engine::Reference));
-        assert_eq!(Engine::parse("CHECKPOINTED"), Some(Engine::Checkpointed));
-        assert_eq!(Engine::parse("Batched"), Some(Engine::Batched));
-        assert_eq!(Engine::parse("bAtChEd"), Some(Engine::Batched));
-        assert_eq!(Engine::parse(""), None);
+        assert_eq!(Engine::parse("Reference"), Ok(Engine::Reference));
+        assert_eq!(Engine::parse("REFERENCE"), Ok(Engine::Reference));
+        assert_eq!(Engine::parse("Batched"), Ok(Engine::Batched));
+        assert_eq!(Engine::parse("bAtChEd"), Ok(Engine::Batched));
+        assert!(Engine::parse("").is_err());
     }
 
     /// Regression (satellite): `safe_fraction` subtracted two
@@ -1443,75 +1371,6 @@ mod tests {
     }
 }
 
-/// Which hardware structure the fault strikes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultModel {
-    /// The paper's model (§IV-C): flip a bit of a dynamic
-    /// instruction's output register right after writeback.
-    #[default]
-    InstructionOutput,
-    /// Extension: flip a bit of a uniformly random *architectural
-    /// register* at a random point in time — a register-file strike.
-    /// Dormant values (long-lived, rarely rewritten) are exposed much
-    /// longer under this model, so coverage differs.
-    RegisterFile,
-}
-
-/// Run a campaign under a chosen [`FaultModel`].
-pub fn run_campaign_with_model(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    model: FaultModel,
-) -> CampaignResult {
-    run_campaign_with_model_engine(sp, cfg, model, Engine::default())
-}
-
-/// [`run_campaign_with_model`] with an explicit engine choice.
-pub fn run_campaign_with_model_engine(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    model: FaultModel,
-    engine: Engine,
-) -> CampaignResult {
-    if model == FaultModel::InstructionOutput {
-        return run_campaign_engine(sp, cfg, engine);
-    }
-    use casted_ir::{Reg, RegClass};
-    // Uniform over all allocated registers of all classes; the counts
-    // are a property of the function, hoisted out of the trial loop.
-    let func = sp.module.entry_fn();
-    let counts = [
-        func.reg_count(RegClass::Gp),
-        func.reg_count(RegClass::Fp),
-        func.reg_count(RegClass::Pr),
-    ];
-    let total: u32 = counts.iter().sum();
-    let flip = cfg.flip;
-    campaign_core(sp, cfg, engine, DEFAULT_LANE_WIDTH, &mut |rng, dyn_insns| {
-        let (at, bit) = draw_injection(rng, dyn_insns);
-        let mut pick = rng.gen_range(0..total.max(1));
-        let target = if pick < counts[0] {
-            Reg::gp(pick)
-        } else if {
-            pick -= counts[0];
-            pick < counts[1]
-        } {
-            Reg::fp(pick)
-        } else {
-            pick -= counts[1];
-            Reg::pr(pick)
-        };
-        let phase = draw_burst_phase(rng, flip);
-        Injection {
-            at_dyn_insn: at,
-            bit,
-            target: Some(target),
-            width: flip.width(),
-            phase,
-        }
-    })
-}
-
 #[cfg(test)]
 mod model_tests {
     use super::*;
@@ -1556,8 +1415,12 @@ mod model_tests {
             trials: 30,
             ..Default::default()
         };
-        let a = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
-        let b = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
+        let cfg = CampaignConfig {
+            target: FaultModel::RegisterFile,
+            ..cfg
+        };
+        let a = run_campaign(&sp, &cfg);
+        let b = run_campaign(&sp, &cfg);
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.tally.total(), 30);
     }
@@ -1570,25 +1433,13 @@ mod model_tests {
             trials: 20,
             ..Default::default()
         };
-        let a = run_campaign_with_model(&sp, &cfg, FaultModel::InstructionOutput);
+        let explicit = CampaignConfig {
+            target: FaultModel::InstructionOutput,
+            ..cfg.clone()
+        };
+        let a = run_campaign(&sp, &explicit);
         let b = run_campaign(&sp, &cfg);
         assert_eq!(a.tally, b.tally);
-    }
-
-    #[test]
-    fn run_trials_matches_individual_trials() {
-        let m = random_module(21, &GenOptions::default());
-        let sp = sequential_of(&m);
-        let golden = casted_sim::simulate(&sp, &casted_sim::SimOptions::default());
-        let max_cycles = golden.stats.cycles * 10;
-        let injections: Vec<Injection> = (1..6)
-            .map(|k| Injection::single(k * 7, (k % 64) as u32, None))
-            .collect();
-        let batch = run_trials(&sp, &golden, &injections, max_cycles);
-        assert_eq!(batch.len(), injections.len());
-        for (i, &inj) in injections.iter().enumerate() {
-            assert_eq!(batch[i], run_trial(&sp, &golden, inj, max_cycles));
-        }
     }
 
     #[test]
@@ -1599,9 +1450,12 @@ mod model_tests {
             trials: 40,
             ..Default::default()
         };
-        let a = run_campaign_with_model_engine(&sp, &cfg, FaultModel::RegisterFile, Engine::Reference);
-        let b =
-            run_campaign_with_model_engine(&sp, &cfg, FaultModel::RegisterFile, Engine::Checkpointed);
+        let cfg = CampaignConfig {
+            target: FaultModel::RegisterFile,
+            ..cfg
+        };
+        let a = run_campaign_engine(&sp, &cfg, Engine::Reference);
+        let b = run_campaign_engine(&sp, &cfg, Engine::Batched);
         assert_eq!(a.tally, b.tally, "register-file model engines diverged");
     }
 
@@ -1615,8 +1469,14 @@ mod model_tests {
             trials: 120,
             ..Default::default()
         };
-        let out = run_campaign_with_model(&sp, &cfg, FaultModel::InstructionOutput);
-        let rf = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
+        let out = run_campaign(&sp, &cfg);
+        let rf = run_campaign(
+            &sp,
+            &CampaignConfig {
+                target: FaultModel::RegisterFile,
+                ..cfg.clone()
+            },
+        );
         assert_ne!(out.tally, rf.tally, "models should produce different tallies");
     }
 }

@@ -29,7 +29,7 @@
 //! * [`TrialEntry::Escaped`] — the trial left its span still
 //!   diverged. Nothing in-span can classify it; the *first* recombine
 //!   replays it against the whole-program golden trace (the
-//!   checkpointed-engine path) and caches the replay's verdict as
+//!   single-trial checkpoint replay) and caches the replay's verdict as
 //!   [`EscapeEvidence`] with its own validation list — the blocks the
 //!   replay touched after the fault landed (plus, for a pruned
 //!   replay, the golden path up to the convergence point). Later
@@ -70,7 +70,6 @@ use casted_sim::{golden_with_checkpoints, replay_trial_observed, GoldenTrace, In
 use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use casted_util::hash::{fnv1a, Fnv64};
 use casted_util::pool::run_pool;
-use casted_util::Rng;
 
 use crate::{classify, CampaignConfig, CampaignResult, EngineStats, Outcome, Tally};
 
@@ -560,23 +559,29 @@ fn entry_of(trial: SectionTrial, golden: &casted_sim::SimResult) -> TrialEntry {
 /// injects only miss sections (bounded per-section runs), replays
 /// escapes whole-program, and reduces the tally **in trial order** —
 /// the recombined tally is byte-identical to
-/// [`crate::run_campaign_engine`] on any engine with the same config
-/// (the four-level gate stack enforces this; see `docs/INCREMENTAL.md`
-/// for the argument). Only the default `InstructionOutput` fault
-/// model is supported — the register-file model's third stream draw
-/// is not part of the section key vocabulary.
+/// [`crate::run_campaign_engine`] on either engine with the same
+/// config (the four-level gate stack enforces this; see
+/// `docs/INCREMENTAL.md` for the argument). Only the default
+/// `InstructionOutput` fault target is cached — the register-file
+/// model's victim draw is not part of the section key vocabulary.
 pub fn run_campaign_incremental(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     store: &SectionStore,
 ) -> CampaignResult {
     // The section evidence vocabulary predates the recovery-capable
-    // schemes: halt evidence is `(exit code, stream)` only, so a vote
-    // correction, a multi-bit burst or a replay-digest plan cannot be
+    // schemes and the fault-model extensions: halt evidence is
+    // `(exit code, stream)` only and a section key binds only each
+    // trial's `(at, bit)`, so a vote correction, a multi-bit burst, a
+    // register-file victim or a replay-digest plan cannot be
     // recombined from the store. Campaigns outside the vocabulary run
     // on the standard engine instead — byte-identical tally, no
-    // caching — rather than silently misclassifying Corrected trials.
-    if cfg.flip != crate::FlipModel::Single || cfg.replay_detect || program_has_votes(sp) {
+    // caching — rather than silently misclassifying trials.
+    if cfg.flip != crate::FlipModel::Single
+        || cfg.target != crate::FaultModel::InstructionOutput
+        || cfg.replay_detect
+        || program_has_votes(sp)
+    {
         return crate::run_campaign_engine(sp, cfg, crate::Engine::default());
     }
     let hashes = block_validation_hashes(sp);
@@ -589,13 +594,6 @@ pub fn run_campaign_incremental(
     run_campaign_cold(sp, cfg, store, &hashes, pkey)
 }
 
-/// The fully-warm fast path: with a validated [`ProgramRecord`] and
-/// every consulted section record — per-escape evidence included —
-/// intact, the whole campaign recombines from the store without
-/// simulating a single cycle, golden run included. Any gap (a missing
-/// or stale section, an escape without reusable evidence, a damaged
-/// partition) returns `None` and the caller falls back to the full
-/// path.
 /// Whether the scheduled program contains any majority-vote
 /// instruction (the TMRED transform) — see the vocabulary gate in
 /// [`run_campaign_incremental`].
@@ -607,6 +605,13 @@ fn program_has_votes(sp: &ScheduledProgram) -> bool {
         .any(|i| i.op == casted_ir::Opcode::Vote)
 }
 
+/// The fully-warm fast path: with a validated [`ProgramRecord`] and
+/// every consulted section record — per-escape evidence included —
+/// intact, the whole campaign recombines from the store without
+/// simulating a single cycle, golden run included. Any gap (a missing
+/// or stale section, an escape without reusable evidence, a damaged
+/// partition) returns `None` and the caller falls back to the full
+/// path.
 fn recombine_from_cache(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
@@ -626,16 +631,8 @@ fn recombine_from_cache(
     let golden_dyn = prog.golden_dyn;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
 
-    // The frozen stream: identical draw order to every other engine.
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
-            Injection::single(at, bit, None)
-        })
-        .collect();
-
     let span = casted_obs::span("faults.campaign_ns");
+    let injections = crate::injection_stream(sp, cfg, golden_dyn);
     let nsec = prog.partition.len();
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nsec];
     for (i, inj) in injections.iter().enumerate() {
@@ -706,6 +703,7 @@ fn run_campaign_cold(
     hashes: &[(u64, u64)],
     pkey: u64,
 ) -> CampaignResult {
+    let span = casted_obs::span("faults.campaign_ns");
     let trace: GoldenTrace = golden_with_checkpoints(sp);
     assert!(
         matches!(trace.result.stop, StopReason::Halt(_)),
@@ -716,17 +714,7 @@ fn run_campaign_cold(
     let golden_cycles = trace.result.stats.cycles;
     let golden_dyn = trace.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-    // The frozen stream: identical draw order to every other engine.
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
-            Injection::single(at, bit, None)
-        })
-        .collect();
-
-    let span = casted_obs::span("faults.campaign_ns");
+    let injections = crate::injection_stream(sp, cfg, golden_dyn);
 
     let cap = capture_sections(sp, golden_dyn);
     let nsec = cap.sections.len();
@@ -956,7 +944,7 @@ fn run_campaign_cold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_campaign_engine, Engine};
+    use crate::{run_campaign, run_campaign_engine, Engine, FaultModel};
     use casted_ir::vliw::{Bundle, ScheduledBlock};
     use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use std::collections::HashMap as Map;
@@ -1076,7 +1064,7 @@ mod tests {
         let cfg = CampaignConfig { trials: 120, ..Default::default() };
         let (dir, store) = tmp_store("coldwarm");
         let cold = run_campaign_incremental(&sp, &cfg, &store);
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        for engine in [Engine::Reference, Engine::Batched] {
             let full = run_campaign_engine(&sp, &cfg, engine);
             assert_eq!(cold.tally, full.tally, "{} disagrees", engine.name());
             assert_eq!(cold.golden_cycles, full.golden_cycles);
@@ -1231,6 +1219,25 @@ mod tests {
         let r = run_campaign_incremental(&sp, &b, &store);
         assert!(r.engine.sections.hit < r.engine.sections.total, "foreign seed fully hit");
         assert_eq!(r.tally, run_campaign_engine(&sp, &b, Engine::Reference).tally);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A register-file campaign is outside the section vocabulary (its
+    /// victim draw is not in the key): it must fall back to the
+    /// engine — same tally as `run_campaign`, nothing cached.
+    #[test]
+    fn register_file_target_falls_back_to_the_engine() {
+        let sp = program();
+        let cfg = CampaignConfig {
+            trials: 60,
+            target: FaultModel::RegisterFile,
+            ..Default::default()
+        };
+        let (dir, store) = tmp_store("regfile");
+        let inc = run_campaign_incremental(&sp, &cfg, &store);
+        assert_eq!(inc.tally, run_campaign(&sp, &cfg).tally);
+        assert_eq!(inc.engine.sections, SectionStats::default(), "register-file trials were cached");
+        assert!(inc.engine.batch.lanes > 0, "fallback did not run the batched engine");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -241,29 +241,7 @@ fn prepare_transformed(
         crate::ifconvert::if_convert(&mut m);
     }
     let ed_stats = transform.map(|f| f(&mut m));
-
-    let mut spilled = 0usize;
-    let mut rounds = 0usize;
-    let sp = loop {
-        let sp = schedule_function(&m, config, placement);
-        let ivs = intervals(&sp);
-        let picks = choose_spills(&sp, &ivs);
-        if picks.is_empty() {
-            break sp;
-        }
-        rounds += 1;
-        if rounds > opts.max_spill_rounds {
-            return Err(format!(
-                "register pressure not reducible after {} spill rounds ({} spills)",
-                opts.max_spill_rounds, spilled
-            ));
-        }
-        for reg in picks {
-            spill_register(&mut m, reg);
-            spilled += 1;
-        }
-    };
-
+    let (sp, spilled) = schedule_with_spills(&mut m, config, placement, opts.max_spill_rounds)?;
     let phys = assign_physical(&sp)?;
     record_prepare_metrics(scheme, &ed_stats, spilled, &sp);
     Ok(Prepared {
@@ -275,10 +253,37 @@ fn prepare_transformed(
     })
 }
 
-/// Per-scheme check-emission counter name (static, so recording never
-/// allocates; nonzero iff the scheme carries error detection).
-pub(crate) fn checks_counter(scheme: Scheme) -> &'static str {
-    scheme.descriptor().checks_counter
+/// The spill↔schedule fixed point: schedule `m`, spill the registers
+/// the schedule cannot fit into the architectural files, and repeat
+/// until nothing spills. Returns the final schedule and the number of
+/// registers spilled (`m` keeps the spill code); more than
+/// `max_spill_rounds` rounds is an error.
+pub(crate) fn schedule_with_spills(
+    m: &mut Module,
+    config: &MachineConfig,
+    placement: Placement,
+    max_spill_rounds: usize,
+) -> Result<(ScheduledProgram, usize), String> {
+    let mut spilled = 0usize;
+    let mut rounds = 0usize;
+    loop {
+        let sp = schedule_function(m, config, placement);
+        let ivs = intervals(&sp);
+        let picks = choose_spills(&sp, &ivs);
+        if picks.is_empty() {
+            return Ok((sp, spilled));
+        }
+        rounds += 1;
+        if rounds > max_spill_rounds {
+            return Err(format!(
+                "register pressure not reducible after {max_spill_rounds} spill rounds ({spilled} spills)"
+            ));
+        }
+        for reg in picks {
+            spill_register(m, reg);
+            spilled += 1;
+        }
+    }
 }
 
 /// Flush one successful back-end run into the global metrics registry
@@ -294,12 +299,25 @@ fn record_prepare_metrics(
     }
     casted_obs::inc("passes.prepared");
     if let Some(st) = ed_stats {
-        casted_obs::add("passes.ed.replicated", st.replicated as u64);
-        casted_obs::add("passes.ed.checks", st.checks as u64);
-        casted_obs::add("passes.ed.isolation_copies", st.isolation_copies as u64);
-        casted_obs::add("passes.ed.renamed_regs", st.renamed_regs as u64);
-        casted_obs::add(checks_counter(scheme), st.checks as u64);
+        record_ed_metrics(scheme, st);
     }
+    record_sched_metrics(spilled, sp);
+}
+
+/// Flush one protection transform's counters, the per-scheme
+/// check-emission counter included (the caller checks
+/// `casted_obs::enabled()`).
+pub(crate) fn record_ed_metrics(scheme: Scheme, st: &EdStats) {
+    casted_obs::add("passes.ed.replicated", st.replicated as u64);
+    casted_obs::add("passes.ed.checks", st.checks as u64);
+    casted_obs::add("passes.ed.isolation_copies", st.isolation_copies as u64);
+    casted_obs::add("passes.ed.renamed_regs", st.renamed_regs as u64);
+    casted_obs::add(scheme.descriptor().checks_counter, st.checks as u64);
+}
+
+/// Flush one schedule's counters (the caller checks
+/// `casted_obs::enabled()`).
+pub(crate) fn record_sched_metrics(spilled: usize, sp: &ScheduledProgram) {
     casted_obs::add("passes.spilled_regs", spilled as u64);
     casted_obs::add("passes.sched.bundles", sp.bundle_count() as u64);
     casted_obs::add("passes.sched.nop_slots", sp.nop_slots() as u64);

@@ -215,10 +215,12 @@ fn scheme_from_u8(b: u8) -> Result<Scheme, String> {
     }
 }
 
+// Tag 1 named the retired checkpoint engine. It is never reused, so
+// the bytes (and reply-cache keys) of every live request stay as they
+// were.
 fn engine_to_u8(e: Engine) -> u8 {
     match e {
         Engine::Reference => 0,
-        Engine::Checkpointed => 1,
         Engine::Batched => 2,
     }
 }
@@ -226,9 +228,15 @@ fn engine_to_u8(e: Engine) -> u8 {
 fn engine_from_u8(b: u8) -> Result<Engine, String> {
     match b {
         0 => Ok(Engine::Reference),
-        1 => Ok(Engine::Checkpointed),
         2 => Ok(Engine::Batched),
-        other => Err(format!("unknown engine tag {other}")),
+        1 => Err(format!(
+            "engine tag 1 (checkpointed) is retired (accepted engines: {})",
+            Engine::ACCEPTED
+        )),
+        other => Err(format!(
+            "unknown engine tag {other} (accepted engines: {})",
+            Engine::ACCEPTED
+        )),
     }
 }
 
@@ -587,7 +595,7 @@ mod tests {
                 spec: spec(),
                 trials: 300,
                 seed: 0xCA57ED,
-                engine: Engine::Checkpointed,
+                engine: Engine::Reference,
             },
             Request::Inject {
                 spec: spec(),
@@ -610,6 +618,28 @@ mod tests {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    /// The engine byte is the last byte of an `Inject` frame. Tags 0
+    /// and 2 keep their historical values, so request bytes and reply
+    /// cache keys are unchanged; tag 1, the retired checkpoint engine,
+    /// decodes to an error naming the accepted engines.
+    #[test]
+    fn engine_tags_are_pinned_and_tag_1_is_retired() {
+        let inject = |engine| Request::Inject {
+            spec: spec(),
+            trials: 30,
+            seed: 11,
+            engine,
+        };
+        for (engine, tag) in [(Engine::Reference, 0u8), (Engine::Batched, 2)] {
+            assert_eq!(encode_request(&inject(engine)).last(), Some(&tag), "{engine:?}");
+        }
+        let mut retired = encode_request(&inject(Engine::Batched));
+        *retired.last_mut().unwrap() = 1;
+        let err = decode_request(&retired).unwrap_err();
+        assert!(err.contains("checkpointed"), "{err}");
+        assert!(err.contains("reference|batched"), "{err}");
     }
 
     #[test]

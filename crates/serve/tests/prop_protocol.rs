@@ -48,14 +48,14 @@ fn gen_request(rng: &mut Rng) -> Request {
             spec: gen_spec(rng),
             trials: rng.next_u64(),
             seed: rng.next_u64(),
-            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed, Engine::Batched]),
+            engine: *rng.pick(&[Engine::Reference, Engine::Batched]),
         },
         4 => Request::Counters,
         5 => Request::InjectStream {
             spec: gen_spec(rng),
             trials: rng.next_u64(),
             seed: rng.next_u64(),
-            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed, Engine::Batched]),
+            engine: *rng.pick(&[Engine::Reference, Engine::Batched]),
             every: rng.next_u64(),
         },
         6 => Request::Cancel,

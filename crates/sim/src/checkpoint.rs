@@ -538,7 +538,7 @@ pub fn replay_trial(
 /// replay verdict stays reusable exactly while every post-injection
 /// block (and, for a converged verdict, the golden path up to the
 /// convergence point) is unchanged. Kept separate from
-/// [`replay_trial`] so the checkpointed/batched engines' hot path
+/// [`replay_trial`] so the batched engine's replay fallback
 /// pays no per-bundle bookkeeping.
 pub fn replay_trial_observed(
     sp: &ScheduledProgram,

@@ -651,7 +651,7 @@ pub fn simulate(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
 /// Like [`simulate`] but without flushing `sim.*` metrics: the entry
 /// point for fault-injection trials, which run the same program
 /// hundreds of times and would otherwise drown the per-run counters
-/// (and make the reference and checkpointed campaign engines'
+/// (and make the reference and batched campaign engines'
 /// counter snapshots incomparable).
 pub fn simulate_quiet(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
     let mut st = MachineState::fresh(sp);

@@ -17,11 +17,11 @@
 //!   makes for its snapshots, which are states of the very same run).
 //! * The trial executes **bounded to its span**: it may converge with
 //!   the golden run at an in-span fingerprint sample (Benign, the
-//!   checkpoint engine's pruning argument), stop naturally in-span
+//!   single-trial replay's pruning argument), stop naturally in-span
 //!   (its [`SimResult`] is bit-identical to a full run's), or
 //!   **escape** past `b_{j+1}` still diverged — in which case the
 //!   campaign layer replays that one trial against the whole-program
-//!   golden trace, i.e. falls back to the checkpointed-engine path.
+//!   golden trace, i.e. falls back to the single-trial replay path.
 //!
 //! Every per-trial outcome is therefore exactly the outcome the
 //! reference engine computes, for *any* partition — which is what

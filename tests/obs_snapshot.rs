@@ -17,8 +17,8 @@
 //! CASTED_UPDATE_SNAPSHOT=1 cargo test --offline --test obs_snapshot
 //! ```
 
-use casted::experiments::{coverage_sweep, coverage_sweep_incremental, perf_sweep, GridSpec};
-use casted::faults::CampaignConfig;
+use casted::experiments::{coverage_sweep, coverage_sweep_with, perf_sweep, GridSpec};
+use casted::faults::{CampaignConfig, Engine};
 use casted::{obs, Scheme};
 
 /// Tests in this binary share the process-global metrics registry;
@@ -60,8 +60,9 @@ fn run_quick_grid() -> String {
     // hit/miss split between them — byte-reproducible.
     let dir = std::env::temp_dir().join(format!("casted-obs-sections-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _cold = coverage_sweep_incremental(&suite(), &cov_spec, &campaign, &dir);
-    let _warm = coverage_sweep_incremental(&suite(), &cov_spec, &campaign, &dir);
+    let store = casted::faults::SectionStore::open(&dir).expect("open section store");
+    let _cold = coverage_sweep_with(&suite(), &cov_spec, &campaign, Engine::default(), Some(&store));
+    let _warm = coverage_sweep_with(&suite(), &cov_spec, &campaign, Engine::default(), Some(&store));
     let _ = std::fs::remove_dir_all(&dir);
     let snap = obs::snapshot_json();
     obs::set_enabled(false);
